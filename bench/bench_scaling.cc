@@ -21,19 +21,14 @@
  * CI job.
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/bench_util.hh"
-#include "stramash/sim/parallel_executor.hh"
 #include "stramash/workloads/sharded_kvstore.hh"
 
 using namespace stramash;
@@ -80,73 +75,6 @@ designName(OsDesign d)
     return d == OsDesign::FusedKernel ? "fused" : "popcorn";
 }
 
-/** Everything one kv batch run can perturb, for the host-parallel
- *  bit-identity assertion. */
-struct HostFingerprint
-{
-    Cycles spent = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t crossShard = 0;
-    bool verified = false;
-    std::vector<std::uint64_t> perNode;
-
-    bool
-    operator==(const HostFingerprint &o) const
-    {
-        return spent == o.spent && requests == o.requests &&
-               crossShard == o.crossShard && verified == o.verified &&
-               perNode == o.perNode;
-    }
-};
-
-/**
- * Wall-clock one 8-node fused kv batch on @p threads host threads
- * (0 = the classic sequential loop). Best of @p reps fresh systems;
- * the fingerprint (identical across reps by construction) comes
- * along for the bit-identity check.
- */
-std::pair<double, HostFingerprint>
-timeHostRun(unsigned threads, std::uint64_t requests, int reps)
-{
-    double bestMs = 0.0;
-    HostFingerprint fp;
-    for (int rep = 0; rep < reps; ++rep) {
-        SystemConfig cfg;
-        cfg.osDesign = OsDesign::FusedKernel;
-        cfg.transport = Transport::SharedMemory;
-        cfg.cachePluginEnabled = false;
-        cfg.topology = TopologySpec::alternating(8, MemoryModel::Shared);
-        cfg.hostThreads = threads ? threads : 1;
-        System sys(cfg);
-        ShardedKvStore store(sys);
-        store.populate();
-
-        auto t0 = std::chrono::steady_clock::now();
-        Cycles spent = threads == 0
-                           ? store.run(requests)
-                           : store.runParallel(requests,
-                                               sys.hostExecutor());
-        auto t1 = std::chrono::steady_clock::now();
-        double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (rep == 0 || ms < bestMs)
-            bestMs = ms;
-
-        fp.spent = spent;
-        fp.requests = store.requestsServed();
-        fp.crossShard = store.crossShardRequests();
-        fp.verified = store.verify();
-        fp.perNode.clear();
-        Machine &m = sys.machine();
-        for (NodeId n = 0; n < m.nodeCount(); ++n) {
-            fp.perNode.push_back(m.node(n).cycles());
-            fp.perNode.push_back(m.node(n).icount());
-            fp.perNode.push_back(m.ipisReceived(n));
-        }
-    }
-    return {bestMs, fp};
-}
-
 } // namespace
 
 int
@@ -154,17 +82,9 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     std::string jsonPath = "BENCH_scaling.json";
-    unsigned hostThreads = 4;
-    double gateSpeedup = 0.0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
             jsonPath = argv[++i];
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            hostThreads = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        else if (std::strcmp(argv[i], "--gate-speedup") == 0 &&
-                 i + 1 < argc)
-            gateSpeedup = std::strtod(argv[++i], nullptr);
     }
 
     const std::uint64_t requests = 4000;
@@ -224,41 +144,6 @@ main(int argc, char **argv)
     const auto &pop = results["popcorn"];
     check(fused.at(4).reqPerMcycle >= pop.at(4).reqPerMcycle,
           "fused forwarding beats two-message RPC at 4 nodes");
-
-    // ---- host-parallel wall clock (simulator speed, not simulated
-    // time): the same 8-node fused batch on the sequential loop vs
-    // the epoch-parallel executor. host_speedup is higher-is-better;
-    // wall-clock metrics stay out of the committed baseline, so they
-    // never gate — the optional --gate-speedup flag does.
-    {
-        const std::uint64_t hostRequests = 20000;
-        auto [seqMs, seqFp] = timeHostRun(0, hostRequests, 3);
-        auto [parMs, parFp] =
-            timeHostRun(hostThreads, hostRequests, 3);
-        double speedup = parMs > 0 ? seqMs / parMs : 0.0;
-        std::printf("host wall clock (8-node fused, %llu requests): "
-                    "sequential %.1f ms, %u threads %.1f ms "
-                    "(%.2fx)\n\n",
-                    static_cast<unsigned long long>(hostRequests),
-                    seqMs, hostThreads, parMs, speedup);
-        check(parFp == seqFp,
-              "parallel host run is bit-identical to the sequential "
-              "loop (cycles, icount, IPIs, cross-shard, verify)");
-        unsigned hw = std::thread::hardware_concurrency();
-        if (gateSpeedup > 0.0 && hw >= hostThreads)
-            check(speedup >= gateSpeedup,
-                  "host_speedup >= " + Table::num(gateSpeedup, 1) +
-                      "x at " + std::to_string(hostThreads) +
-                      " threads (got " + Table::num(speedup, 2) +
-                      "x)");
-        else if (gateSpeedup > 0.0)
-            std::printf("  [SKIP] host_speedup gate: host has %u "
-                        "hardware thread(s), need %u\n",
-                        hw, hostThreads);
-        metrics.emplace_back("host_wall_ms_1t", seqMs);
-        metrics.emplace_back("host_wall_ms", parMs);
-        metrics.emplace_back("host_speedup", speedup);
-    }
 
     check(writeBenchJson(jsonPath, metrics), "wrote " + jsonPath);
     return checksExitCode();

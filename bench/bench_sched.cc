@@ -7,7 +7,7 @@
  * stealing on vs off. Work items land on the node their Zipfian-
  * scrambled key hashes to, so a few nodes take most of the work;
  * static placement leaves the other nodes idle while the hot node
- * grinds, stealing rebalances at every epoch barrier. Throughput is
+ * grinds, stealing rebalances between drain rounds. Throughput is
  * items per simulated megacycle of max-node runtime — deterministic,
  * so the committed baseline gates it in CI.
  *
@@ -22,12 +22,6 @@
  * Cost metrics are emitted as higher-is-better values (items per
  * kilocycle, Popcorn/fused cost ratio) so the regression checker's
  * floor semantics apply cleanly.
- *
- * A final sweep re-runs the 8-node fused stealing case on 1, 2 and 4
- * host threads and asserts the full fingerprint (runtime, per-node
- * clocks, executed count, steal counters) is bit-identical: steals
- * only happen at serial epoch barriers, so the thread count must not
- * be observable.
  */
 
 #include <cstdio>
@@ -62,7 +56,7 @@ sweepSchedConfig(bool stealing)
 {
     SchedConfig sc;
     sc.stealing = stealing;
-    // Small blocks = frequent barriers = frequent steal rounds.
+    // Small blocks = short drain rounds = frequent steal rounds.
     sc.runBlock = 16;
     sc.stealBatch = 8;
     return sc;
@@ -109,7 +103,7 @@ runSweep(OsDesign design, std::size_t nodes, bool stealing)
 
     Scheduler sched(sys, sweepSchedConfig(stealing));
     submitSkewed(sched, sys, nodes);
-    Cycles spent = sched.runToIdle();
+    Cycles spent = sched.runInline();
 
     SweepResult r;
     r.spent = spent;
@@ -169,8 +163,6 @@ measureStealCost(OsDesign design)
     cfg.topology = TopologySpec::alternating(4, MemoryModel::Shared);
     System sys(cfg);
 
-    // No executor session here: the cache plugin's counters are only
-    // safe on the direct (sequential) charge path.
     Scheduler sched(sys, sweepSchedConfig(true));
 
     std::uint64_t cyc0 = cycleTotal(sys);
@@ -186,52 +178,6 @@ measureStealCost(OsDesign design)
     c.messages = sys.messagesSent() - msg0;
     c.coherenceDelta = coherenceTotal(sys) - coh0;
     return c;
-}
-
-// ---- host-thread bit-identity --------------------------------------
-
-struct HostFingerprint
-{
-    Cycles spent = 0;
-    std::uint64_t executed = 0;
-    std::uint64_t steals = 0;
-    std::uint64_t stolenItems = 0;
-    std::vector<std::uint64_t> perNode;
-
-    bool
-    operator==(const HostFingerprint &o) const
-    {
-        return spent == o.spent && executed == o.executed &&
-               steals == o.steals && stolenItems == o.stolenItems &&
-               perNode == o.perNode;
-    }
-};
-
-HostFingerprint
-runThreaded(unsigned threads)
-{
-    SystemConfig cfg;
-    cfg.osDesign = OsDesign::FusedKernel;
-    cfg.transport = Transport::SharedMemory;
-    cfg.cachePluginEnabled = false;
-    cfg.topology = TopologySpec::alternating(8, MemoryModel::Shared);
-    cfg.hostThreads = threads;
-    System sys(cfg);
-
-    Scheduler sched(sys, sweepSchedConfig(true));
-    submitSkewed(sched, sys, 8);
-
-    HostFingerprint fp;
-    fp.spent = sched.runToIdle();
-    fp.executed = sched.itemsExecuted();
-    fp.steals = sched.stats().value("steals_succeeded");
-    fp.stolenItems = sched.stats().value("steal_items");
-    Machine &m = sys.machine();
-    for (NodeId n = 0; n < m.nodeCount(); ++n) {
-        fp.perNode.push_back(m.node(n).cycles());
-        fp.perNode.push_back(m.node(n).icount());
-    }
-    return fp;
 }
 
 } // namespace
@@ -341,21 +287,6 @@ main(int argc, char **argv)
                          popCost.cyclesPerItem > 0
                              ? 1000.0 / popCost.cyclesPerItem
                              : 0.0);
-
-    // ---- host-thread bit-identity ----
-    HostFingerprint fp1 = runThreaded(1);
-    HostFingerprint fp2 = runThreaded(2);
-    HostFingerprint fp4 = runThreaded(4);
-    std::printf("8-node fused stealing run: %llu cycles, %llu "
-                "steals (%llu items) — thread sweep {1,2,4}\n\n",
-                static_cast<unsigned long long>(fp1.spent),
-                static_cast<unsigned long long>(fp1.steals),
-                static_cast<unsigned long long>(fp1.stolenItems));
-    check(fp1 == fp2 && fp1 == fp4,
-          "stealing run is bit-identical across host thread counts "
-          "{1, 2, 4} (barrier-serial steals)");
-    check(fp1.steals > 0,
-          "the bit-identity sweep actually exercised stealing");
 
     check(writeBenchJson(jsonPath, metrics), "wrote " + jsonPath);
     return checksExitCode();

@@ -24,9 +24,7 @@
  * host. Emits BENCH_tail.json (override with --json <path>).
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -35,8 +33,6 @@
 
 #include "common/bench_util.hh"
 #include "stramash/load/engine.hh"
-#include "stramash/load/parallel_service.hh"
-#include "stramash/sim/parallel_executor.hh"
 
 using namespace stramash;
 using namespace stramash::bench;
@@ -109,50 +105,6 @@ const char *
 designName(OsDesign d)
 {
     return d == OsDesign::FusedKernel ? "fused" : "popcorn";
-}
-
-/** One host-parallel tail run: its report, per-node clocks and the
- *  wall-clock milliseconds the service loop itself took. */
-struct ParallelPoint
-{
-    OpenLoopReport rep;
-    std::vector<Cycles> perNode;
-    double wallMs = 0.0;
-};
-
-/** The 8-node fused open-loop point served by ParallelKvService on
- *  @p threads host lanes (its report must be thread-count
- *  invariant; the wall clock is what varies). */
-ParallelPoint
-runParallelPoint(double ratePerMcycle, unsigned threads)
-{
-    SystemConfig cfg;
-    cfg.osDesign = OsDesign::FusedKernel;
-    cfg.transport = Transport::SharedMemory;
-    cfg.cachePluginEnabled = false;
-    cfg.topology = TopologySpec::alternating(8, MemoryModel::Shared);
-    cfg.hostThreads = threads;
-    System sys(cfg);
-
-    ShardedKvStore store(sys);
-    store.populate();
-    ParallelKvService service(sys, store);
-
-    OpenLoopConfig oc;
-    oc.arrival = ArrivalConfig::poisson(ratePerMcycle, kSeed);
-    oc.keys = KeyDistConfig::zipfian(store.keySpace(), 0.99, kSeed + 1);
-    oc.requests = kRequests;
-    oc.seed = kSeed + 2;
-
-    ParallelPoint p;
-    auto t0 = std::chrono::steady_clock::now();
-    p.rep = service.run(oc, sys.hostExecutor());
-    auto t1 = std::chrono::steady_clock::now();
-    p.wallMs =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    for (NodeId n = 0; n < sys.machine().nodeCount(); ++n)
-        p.perNode.push_back(sys.machine().node(n).cycles());
-    return p;
 }
 
 bool
@@ -228,13 +180,9 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     std::string jsonPath = "BENCH_tail.json";
-    unsigned hostThreads = 4;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
             jsonPath = argv[++i];
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            hostThreads = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
     }
 
     const std::size_t nodeCounts[] = {2, 4, 8};
@@ -359,29 +307,6 @@ main(int argc, char **argv)
                   " 8-node overload point sheds via admission "
                   "control (shed " +
                   std::to_string(over.rep.shed) + ")");
-    }
-
-    // ---- host-parallel wall clock (simulator speed, not simulated
-    // time): the 8-node fused open-loop point served by the epoch
-    // staged service on 1 host thread vs --threads. The report and
-    // every per-node clock must be thread-count invariant; the
-    // wall-clock metrics stay out of the committed baseline, so they
-    // never gate.
-    {
-        double rate = midPoints["fused"][8].ratePerMcycle;
-        ParallelPoint p1 = runParallelPoint(rate, 1);
-        ParallelPoint pT = runParallelPoint(rate, hostThreads);
-        double speedup = pT.wallMs > 0 ? p1.wallMs / pT.wallMs : 0.0;
-        std::printf("host wall clock (8-node fused open loop, "
-                    "%.1f req/Mcyc): 1 thread %.1f ms, %u threads "
-                    "%.1f ms (%.2fx)\n\n",
-                    rate, p1.wallMs, hostThreads, pT.wallMs, speedup);
-        check(sameReport(p1.rep, pT.rep) && p1.perNode == pT.perNode,
-              "parallel tail service is thread-count invariant "
-              "(report, percentiles, per-node clocks)");
-        metrics.emplace_back("host_wall_ms_1t", p1.wallMs);
-        metrics.emplace_back("host_wall_ms", pT.wallMs);
-        metrics.emplace_back("host_speedup", speedup);
     }
 
     check(writeTailJson(jsonPath, metrics, curves),

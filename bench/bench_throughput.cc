@@ -143,7 +143,7 @@ void
 snapshotCounters(StatGroup &stats, CounterSnapshot &out)
 {
     for (const auto &[name, c] : stats.counters())
-        out.emplace_back(name, c.value());
+        out.emplace_back(name, c);
 }
 
 /**

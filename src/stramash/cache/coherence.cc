@@ -156,7 +156,6 @@ CoherenceDomain::snoopOthers(NodeId node, AccessType type, Addr lineAddr,
 AccessResult
 CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
 {
-    guard_.check("coherence domain");
     NodeCtx &nc = ctx(node);
     CacheHierarchy &hier = *nc.hier;
     Addr lineAddr = lineBase(addr);

@@ -37,7 +37,6 @@
 
 #include "stramash/cache/hierarchy.hh"
 #include "stramash/cache/snoop_filter.hh"
-#include "stramash/common/epoch_guard.hh"
 #include "stramash/common/stats.hh"
 #include "stramash/mem/latency_profile.hh"
 #include "stramash/mem/phys_map.hh"
@@ -124,36 +123,7 @@ class CoherenceDomain
     /** The sharer-presence directory, exposed for invariant tests. */
     const SnoopFilter &snoopFilter() const { return filter_; }
 
-    // ---- parallel host sessions ----
-
-    /**
-     * Arm (or disarm) the epoch guards. The whole domain — every
-     * hierarchy, the shared LLC, the directory — is cross-node
-     * machine state the parallel executor cannot partition, so at
-     * most one host lane may drive it per epoch: the first access of
-     * an epoch claims the guard, and an access from a second thread
-     * before the next fence panics (the conservative "probe deferral
-     * at epoch edges" contract — a probe that *would* cross lanes
-     * mid-epoch is a lookahead-bound violation, not a queueing
-     * opportunity).
-     */
-    void
-    setParallelGuard(bool on)
-    {
-        guard_.setActive(on);
-        filter_.epochGuard().setActive(on);
-    }
-
-    /** Barrier point: release the epoch's claim. */
-    void
-    fenceParallelEpoch()
-    {
-        guard_.fence();
-        filter_.epochGuard().fence();
-    }
-
   private:
-    EpochAccessGuard guard_;
     struct NodeCtx
     {
         std::unique_ptr<StatGroup> stats;

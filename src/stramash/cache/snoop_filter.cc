@@ -15,7 +15,6 @@ SnoopFilter::SnoopFilter(std::size_t slotsPerNode)
 void
 SnoopFilter::addSharer(Addr lineAddr, NodeId node)
 {
-    guard_.check("snoop filter");
     panic_if(node >= maxNodes, "snoop filter supports at most ",
              maxNodes, " nodes, got node ", node);
     std::uint8_t *counts = byNode_[node];

@@ -54,7 +54,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "stramash/common/epoch_guard.hh"
 #include "stramash/common/logging.hh"
 #include "stramash/common/types.hh"
 
@@ -98,7 +97,6 @@ class SnoopFilter
     void
     removeSharer(Addr lineAddr, NodeId node)
     {
-        guard_.check("snoop filter");
         std::uint8_t *counts =
             node < maxNodes ? byNode_[node] : nullptr;
         if (!counts)
@@ -117,15 +115,7 @@ class SnoopFilter
     /** Presence slots per node. */
     std::size_t capacity() const { return slotMask_ + 1; }
 
-    /**
-     * Parallel-session guard: the directory is shared machine state,
-     * so at most one host lane may mutate it per epoch. Armed and
-     * fenced by the coherence domain.
-     */
-    EpochAccessGuard &epochGuard() { return guard_; }
-
   private:
-    EpochAccessGuard guard_;
     struct NodeCounts
     {
         NodeId node;

@@ -74,7 +74,6 @@ Histogram::merge(const Histogram &other)
 Counter &
 StatGroup::counter(const std::string &name)
 {
-    std::lock_guard<std::mutex> g(regMu_);
     return counters_[name];
 }
 
@@ -82,42 +81,31 @@ Histogram &
 StatGroup::histogram(const std::string &name,
                      std::vector<std::uint64_t> edges)
 {
-    std::lock_guard<std::mutex> g(regMu_);
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-        // try_emplace builds the Histogram in place: it is neither
-        // copyable nor movable (it owns a spinlock).
-        it = histograms_.try_emplace(name, std::move(edges)).first;
-    }
-    return it->second;
+    return histograms_.try_emplace(name, std::move(edges)).first->second;
 }
 
 bool
 StatGroup::has(const std::string &name) const
 {
-    std::lock_guard<std::mutex> g(regMu_);
     return counters_.count(name) != 0;
 }
 
 bool
 StatGroup::hasHistogram(const std::string &name) const
 {
-    std::lock_guard<std::mutex> g(regMu_);
     return histograms_.count(name) != 0;
 }
 
 std::uint64_t
 StatGroup::value(const std::string &name) const
 {
-    std::lock_guard<std::mutex> g(regMu_);
     auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
+    return it == counters_.end() ? 0 : it->second;
 }
 
 const Histogram *
 StatGroup::findHistogram(const std::string &name) const
 {
-    std::lock_guard<std::mutex> g(regMu_);
     auto it = histograms_.find(name);
     return it == histograms_.end() ? nullptr : &it->second;
 }
@@ -126,7 +114,7 @@ void
 StatGroup::resetAll()
 {
     for (auto &kv : counters_)
-        kv.second.reset();
+        kv.second = 0;
     for (auto &kv : histograms_)
         kv.second.reset();
 }
@@ -135,8 +123,7 @@ void
 StatGroup::dump(std::ostream &os) const
 {
     for (const auto &kv : counters_)
-        os << name_ << '.' << kv.first << ' ' << kv.second.value()
-           << '\n';
+        os << name_ << '.' << kv.first << ' ' << kv.second << '\n';
     for (const auto &kv : histograms_) {
         const Histogram &h = kv.second;
         char buf[192];
@@ -155,10 +142,7 @@ StatGroup::dump(std::ostream &os) const
 std::map<std::string, std::uint64_t>
 StatGroup::snapshot() const
 {
-    std::map<std::string, std::uint64_t> out;
-    for (const auto &kv : counters_)
-        out.emplace(kv.first, kv.second.value());
-    return out;
+    return counters_;
 }
 
 } // namespace stramash

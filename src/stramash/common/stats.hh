@@ -11,10 +11,8 @@
 #ifndef STRAMASH_COMMON_STATS_HH
 #define STRAMASH_COMMON_STATS_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -24,56 +22,12 @@
 namespace stramash
 {
 
-/**
- * A monotonically increasing named counter.
- *
- * Increments are relaxed atomics so parallel host sessions (several
- * lanes bumping the same message-layer counter) stay race-free; the
- * final value is an exact sum regardless of interleaving, which is
- * what keeps parallel runs bit-identical to the single-thread
- * reference. Reads are meaningful at serial points (epoch barriers,
- * end of run).
- */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    Counter &
-    operator+=(std::uint64_t delta)
-    {
-        value_.fetch_add(delta, std::memory_order_relaxed);
-        return *this;
-    }
-
-    Counter &
-    operator++()
-    {
-        value_.fetch_add(1, std::memory_order_relaxed);
-        return *this;
-    }
-
-    std::uint64_t
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    void reset() { value_.store(0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<std::uint64_t> value_{0};
-};
+/** A monotonically increasing named counter. */
+using Counter = std::uint64_t;
 
 /**
  * A fixed-bucket histogram for latency-style distributions (used by
  * the IPI characterisation experiment).
- *
- * sample() is guarded by a tiny spinlock so concurrent lanes of a
- * parallel host session can share one histogram: the recorded
- * multiset of samples — and therefore count/sum/min/max and every
- * percentile — is order-independent, keeping parallel runs
- * bit-identical. Readers run at serial points only.
  */
 class Histogram
 {
@@ -88,8 +42,6 @@ class Histogram
     void
     sample(std::uint64_t v)
     {
-        while (lock_.test_and_set(std::memory_order_acquire)) {
-        }
         ++count_;
         sum_ += v;
         if (count_ == 1 || v < min_)
@@ -100,7 +52,6 @@ class Histogram
         while (i < edges_.size() && v >= edges_[i])
             ++i;
         ++buckets_[i];
-        lock_.clear(std::memory_order_release);
     }
 
     std::uint64_t count() const { return count_; }
@@ -129,10 +80,9 @@ class Histogram
     /**
      * Fold @p other's samples into this histogram. Both must share
      * the same bucket edges. The result is exactly what sampling the
-     * union multiset would have produced, so per-epoch scratch
-     * histograms (e.g. run-queue depth sampled every scheduler
-     * epoch) can be merged into a long-lived one instead of
-     * re-registering it. Serial points only.
+     * union multiset would have produced, so scratch histograms
+     * (e.g. one per independent run) can be merged into a long-lived
+     * one instead of re-registering it.
      */
     void merge(const Histogram &other);
 
@@ -146,7 +96,6 @@ class Histogram
     std::uint64_t sum_ = 0;
     std::uint64_t min_ = 0;
     std::uint64_t max_ = 0;
-    std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
 };
 
 /**
@@ -222,11 +171,7 @@ class StatGroup
   private:
     std::string name_;
     // std::map keeps pointer stability under insertion and gives the
-    // sorted dump order for free. Registration (the by-name lookup
-    // that may insert) is mutex-guarded so two host lanes hitting a
-    // lazily registered counter for the first time cannot race the
-    // map; the returned references stay lock-free to use.
-    mutable std::mutex regMu_;
+    // sorted dump order for free.
     std::map<std::string, Counter> counters_;
     std::map<std::string, Histogram> histograms_;
 };

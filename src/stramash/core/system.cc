@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "stramash/sim/parallel_executor.hh"
 #include "stramash/trace/chrome_exporter.hh"
 #include "stramash/trace/json_stats.hh"
 
@@ -130,10 +129,8 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
     }
 
     // Link-only plans deliberately do NOT imply a CrashManager: a
-    // partition without a detector is a pure transport drill (and the
-    // parallel thread-sweep harness relies on exactly that — the
-    // heartbeat detector is sequential machinery). Fencing under
-    // partitions needs crash.enabled like any other detection.
+    // partition without a detector is a pure transport drill. Fencing
+    // under partitions needs crash.enabled like any other detection.
     bool crashPlanned = cfg.faultPlan && cfg.faultPlan->crashPlanned();
     if (crashPlanned || cfg.crash.enabled) {
         crash_ = std::make_unique<CrashManager>(
@@ -155,15 +152,6 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
 }
 
 System::~System() = default;
-
-HostExecutor &
-System::hostExecutor()
-{
-    if (!executor_)
-        executor_ = std::make_unique<HostExecutor>(
-            *machine_, std::max(1u, cfg_.hostThreads));
-    return *executor_;
-}
 
 KernelInstance &
 System::kernel(NodeId node)

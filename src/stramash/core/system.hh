@@ -26,8 +26,6 @@
 namespace stramash
 {
 
-class HostExecutor;
-
 /** Everything needed to stand up one experiment configuration. */
 struct SystemConfig
 {
@@ -71,14 +69,6 @@ struct SystemConfig
      *  or crash.enabled is set; otherwise the per-operation guard is
      *  compiled out of the path entirely. */
     CrashConfig crash{};
-    /**
-     * Host threads for parallel-capable workload paths (the epoch
-     * executor, sim/parallel_executor.hh). 1 — the default — runs the
-     * identical epoch algorithm inline on the calling thread; any
-     * value is clamped to the node count. Simulated timing and every
-     * statistic are bit-identical across thread counts.
-     */
-    unsigned hostThreads = 1;
 };
 
 class System
@@ -93,14 +83,6 @@ class System
     const SystemConfig &config() const { return cfg_; }
     Machine &machine() { return *machine_; }
     MessageLayer &msg() { return *msg_; }
-
-    /**
-     * The epoch-based parallel host executor, sized to
-     * config().hostThreads (lazily built: a 1-thread executor spawns
-     * no workers). Workloads with a parallel path drive their epoch
-     * loop through it; see DESIGN.md §6h.
-     */
-    HostExecutor &hostExecutor();
 
     KernelInstance &kernel(NodeId node);
     KernelInstance &kernelByIsa(IsaType isa);
@@ -275,8 +257,6 @@ class System
 
     std::unique_ptr<GlobalMemoryAllocator> gma_;
     std::unique_ptr<CrashManager> crash_;
-    /** Declared after machine_: destroyed (workers joined) first. */
-    std::unique_ptr<HostExecutor> executor_;
     std::vector<const StatGroup *> externalStats_;
 
     FutexPolicy *futexPolicy_ = nullptr;

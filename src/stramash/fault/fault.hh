@@ -166,21 +166,6 @@ struct FaultPlan
     /** True when the plan schedules any link transition. */
     bool linkFaultsPlanned() const { return !linkSchedule.empty(); }
 
-    /** True when every scheduled transition is Severed/Up. Lossy and
-     *  Delayed draw rng / park messages in arrival order, so only
-     *  pure sever/heal schedules are legal multi-threaded. */
-    bool
-    linkScheduleParallelSafe() const
-    {
-        for (const LinkEvent &ev : linkSchedule) {
-            if (ev.state == LinkState::Lossy ||
-                ev.state == LinkState::Delayed) {
-                return false;
-            }
-        }
-        return true;
-    }
-
     /** True when the plan schedules a crash-stop failure. */
     bool crashPlanned() const { return crashNode != invalidNode; }
 

@@ -38,16 +38,16 @@ OpenLoopEngine::run(KvFrontEnd &fe)
 
     OpenLoopReport r;
     r.offered = cfg_.requests;
-    r.accepted = g.counter("accepted").value();
-    r.shed = g.counter("ring_full").value();
-    r.served = g.counter("served").value();
-    r.batches = g.counter("batches").value();
-    r.cacheHits = g.counter("cache_hits").value();
-    r.cacheStale = g.counter("cache_stale").value();
-    r.cacheMisses = g.counter("cache_misses").value();
-    r.invalidationsSent = g.counter("invalidations_sent").value();
+    r.accepted = g.counter("accepted");
+    r.shed = g.counter("ring_full");
+    r.served = g.counter("served");
+    r.batches = g.counter("batches");
+    r.cacheHits = g.counter("cache_hits");
+    r.cacheStale = g.counter("cache_stale");
+    r.cacheMisses = g.counter("cache_misses");
+    r.invalidationsSent = g.counter("invalidations_sent");
     r.coherentInvalidations =
-        g.counter("coherent_invalidations").value();
+        g.counter("coherent_invalidations");
     r.meanLatency = lat.mean();
     r.p50 = lat.percentile(0.50);
     r.p99 = lat.percentile(0.99);

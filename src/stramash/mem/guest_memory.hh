@@ -127,22 +127,6 @@ class GuestMemory
     /** Number of host frames materialised so far. */
     std::size_t frameCount() const { return frames_.size(); }
 
-    /**
-     * Materialise every frame backing [addr, addr + size) now.
-     * First-touch writes insert into the frame map, which is not
-     * safe against concurrent lookups — a parallel host session must
-     * pre-back any range its lanes may write for the first time
-     * (Machine::beginParallelSession does this for the messaging
-     * area). Already-backed pages are untouched.
-     */
-    void
-    ensureBacked(Addr addr, std::size_t size)
-    {
-        for (Addr base = pageBase(addr);
-             base < addr + size; base += pageSize)
-            frame(base);
-    }
-
   private:
     using Frame = std::array<std::uint8_t, pageSize>;
 

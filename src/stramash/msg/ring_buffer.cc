@@ -39,10 +39,6 @@ MessageRing::MessageRing(Machine &machine, Addr base, Addr bytes)
     // is boot-time initialisation.
     machine_.memory().store<std::uint64_t>(headAddr(), 0);
     machine_.memory().store<std::uint64_t>(tailAddr(), 0);
-    // Materialise every frame of the ring now: a first-touch write
-    // mutates the guest frame map, which parallel host lanes read
-    // concurrently — all ring storage must exist before any session.
-    machine_.memory().ensureBacked(base_, bytes);
 }
 
 std::size_t
@@ -154,13 +150,6 @@ MessageRing::pollProbe(NodeId consumer)
     auto head = machine_.memory().load<std::uint64_t>(headAddr());
     auto tail = machine_.memory().load<std::uint64_t>(tailAddr());
     return head != tail;
-}
-
-void
-MessageRing::chargeEmptyPeek(NodeId consumer)
-{
-    machine_.dataAccess(consumer, AccessType::Load, headAddr(), 8);
-    machine_.dataAccess(consumer, AccessType::Load, tailAddr(), 8);
 }
 
 } // namespace stramash

@@ -88,16 +88,6 @@ class MessageRing
      */
     bool pollProbe(NodeId consumer);
 
-    /**
-     * Charge exactly what an empty dequeue() costs — the head and
-     * tail control-word loads — without touching the ring's guest
-     * memory at all. A parallel receive scan uses this for rings
-     * another host lane has claimed: the classic scan would have
-     * found them empty and paid this, so paying it blind keeps the
-     * timing bit-identical without racing on the ring state.
-     */
-    void chargeEmptyPeek(NodeId consumer);
-
     Addr base() const { return base_; }
 
   private:

@@ -1,69 +1,13 @@
 #include "stramash/msg/transport.hh"
 
 #include "stramash/common/units.hh"
-#include "stramash/sim/parallel_epoch.hh"
 
 namespace stramash
 {
 
-namespace
-{
-
-/** The channel pair the calling lane has claimed, if any. */
-struct RingScope
-{
-    NodeId a = 0;
-    NodeId b = 0;
-    bool active = false;
-
-    bool covers(NodeId n) const { return n == a || n == b; }
-};
-
-RingScope &
-tlsRingScope()
-{
-    static thread_local RingScope scope;
-    return scope;
-}
-
-} // namespace
-
 MessageLayer::MessageLayer(Machine &machine)
     : machine_(machine), stats_("msg")
 {
-    pairNodes_ = machine.nodeCount();
-    if (pairNodes_ > 1)
-        pairMu_ =
-            std::make_unique<std::mutex[]>(pairNodes_ * pairNodes_);
-}
-
-std::mutex &
-MessageLayer::pairMutex(NodeId a, NodeId b)
-{
-    panic_if(a >= pairNodes_ || b >= pairNodes_ || a == b,
-             "pairMutex(", a, ", ", b, "): bad channel pair");
-    NodeId lo = std::min(a, b);
-    NodeId hi = std::max(a, b);
-    return pairMu_[lo * pairNodes_ + hi];
-}
-
-ChannelScope::ChannelScope(MessageLayer &layer, NodeId a, NodeId b)
-{
-    if (!tlsLaneContext())
-        return;
-    RingScope &rs = tlsRingScope();
-    panic_if(rs.active, "nested channel scopes on one lane");
-    mu_ = &layer.pairMutex(a, b);
-    mu_->lock();
-    rs = {std::min(a, b), std::max(a, b), true};
-}
-
-ChannelScope::~ChannelScope()
-{
-    if (!mu_)
-        return;
-    tlsRingScope().active = false;
-    mu_->unlock();
 }
 
 void
@@ -110,7 +54,7 @@ MessageLayer::send(const Message &msg)
         return Errc::Ok;
     }
     Message m = msg;
-    m.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+    m.seq = ++seq_;
     FaultInjector *fi = machine_.faultInjector();
     if (fi) {
         // Response capture for at-most-once replay: the first
@@ -128,8 +72,8 @@ MessageLayer::send(const Message &msg)
         if (m.respondsTo != 0)
             cacheReply(m.respondsTo, m);
     }
-    sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(m.wireSize(), std::memory_order_relaxed);
+    ++sent_;
+    bytes_ += m.wireSize();
     stats_.counter("sent_total") += 1;
     stats_.counter(std::string("sent.") + msgTypeName(m.type)) += 1;
     stats_.counter("bytes_sent") += m.wireSize();
@@ -478,21 +422,9 @@ MessageLayer::sendReliable(const Message &msg, bool dispatchNow)
 void
 MessageLayer::resetCounters()
 {
-    sent_.store(0, std::memory_order_relaxed);
-    bytes_.store(0, std::memory_order_relaxed);
+    sent_ = 0;
+    bytes_ = 0;
     stats_.resetAll();
-}
-
-void
-MessageLayer::noteModeledSend(const Message &msg)
-{
-    std::uint64_t wire = msg.wireSize();
-    sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(wire, std::memory_order_relaxed);
-    stats_.counter("sent_total") += 1;
-    stats_.counter(std::string("sent.") + msgTypeName(msg.type)) += 1;
-    stats_.counter("bytes_sent") += wire;
-    stats_.histogram("wire_bytes", {64, 256, 1024, 4096}).sample(wire);
 }
 
 // ===================== ShmMessageLayer ===============================
@@ -594,21 +526,10 @@ ShmMessageLayer::transportSend(const Message &msg)
 std::optional<Message>
 ShmMessageLayer::transportReceive(NodeId node)
 {
-    const RingScope &rs = tlsRingScope();
     // Check every ring that targets this node.
     for (auto &kv : rings_) {
         if (kv.first.second != node)
             continue;
-        // Under a channel claim, only the claimed pair's rings are
-        // ours to drain: other pairs' traffic belongs to the lanes
-        // holding those claims. The classic scan would have found
-        // those rings empty (channels drain synchronously) and paid
-        // the two control-word loads — charge the same, blind.
-        if (rs.active && (!rs.covers(kv.first.first) ||
-                          !rs.covers(node))) {
-            kv.second->chargeEmptyPeek(node);
-            continue;
-        }
         auto m = kv.second->dequeue(node);
         if (m) {
             machine_.stall(node, costs_.handlerCycles);
@@ -628,11 +549,6 @@ TcpMessageLayer::TcpMessageLayer(Machine &machine, MsgCosts costs)
 Errc
 TcpMessageLayer::transportSend(const Message &msg)
 {
-    // One FIFO per destination mixes every source's traffic, which a
-    // per-pair claim cannot untangle; the parallel benches run the
-    // Popcorn design over SHM rings instead.
-    panic_if(tlsLaneContext(),
-             "TCP transport is not supported in parallel sessions");
     // Sender: stack setup plus per-byte copy through the NIC path.
     Cycles copy = static_cast<Cycles>(
         static_cast<double>(msg.wireSize()) * costs_.tcpPerByteCycles);
@@ -644,8 +560,6 @@ TcpMessageLayer::transportSend(const Message &msg)
 std::optional<Message>
 TcpMessageLayer::transportReceive(NodeId node)
 {
-    panic_if(tlsLaneContext(),
-             "TCP transport is not supported in parallel sessions");
     auto &q = queues_[node];
     if (q.empty())
         return std::nullopt;

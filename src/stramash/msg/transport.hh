@@ -25,12 +25,10 @@
 #define STRAMASH_MSG_TRANSPORT_HH
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -184,36 +182,11 @@ class MessageLayer
     }
 
     /** Total messages sent since construction (Table 3). */
-    std::uint64_t
-    messagesSent() const
-    {
-        return sent_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t messagesSent() const { return sent_; }
 
-    std::uint64_t
-    bytesSent() const
-    {
-        return bytes_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t bytesSent() const { return bytes_; }
 
     void resetCounters();
-
-    /**
-     * Account a message the caller *modeled* rather than moved
-     * through the transport (the parallel kv service charges wire
-     * costs itself and delivers payloads as epoch events): bumps the
-     * send counters and wire-size histogram exactly as send() would,
-     * without touching rings or queues.
-     */
-    void noteModeledSend(const Message &msg);
-
-    /**
-     * Lock covering the unordered node pair {a, b}: a parallel lane
-     * takes it (via ChannelScope) around any synchronous exchange on
-     * the pair's rings, which other lanes' traffic must not interleave
-     * with mid-epoch.
-     */
-    std::mutex &pairMutex(NodeId a, NodeId b);
 
     Machine &machine() { return machine_; }
 
@@ -229,17 +202,9 @@ class MessageLayer
 
   private:
     std::map<NodeId, MsgHandler> handlers_;
-    // Relaxed atomics: parallel lanes send concurrently (on disjoint,
-    // pair-locked channels); totals are exact sums either way. seq
-    // values then depend on send interleaving, but nothing statistical
-    // derives from a seq — per-channel FIFO order is what matters,
-    // and the pair lock preserves it.
-    std::atomic<std::uint64_t> sent_{0};
-    std::atomic<std::uint64_t> bytes_{0};
-    std::atomic<std::uint64_t> seq_{0};
-    /** Channel-pair locks, indexed min(a,b) * nodeCount + max(a,b). */
-    std::size_t pairNodes_ = 0;
-    std::unique_ptr<std::mutex[]> pairMu_;
+    std::uint64_t sent_ = 0;
+    std::uint64_t bytes_ = 0;
+    std::uint64_t seq_ = 0;
     RpcPolicy policy_;
 
     // ---- resilient-mode state (touched only with an injector) ----
@@ -346,30 +311,6 @@ class ShmMessageLayer final : public MessageLayer
         rings_;
 
     MessageRing &ring(NodeId from, NodeId to);
-};
-
-/**
- * RAII channel claim for parallel host sessions. A lane simulating a
- * synchronous cross-node exchange (an rpc and its response) wraps it
- * in a ChannelScope over the two endpoints: the pair's mutex
- * serializes lanes sharing the physical rings — ring (i -> o) carries
- * lane(o)'s requests *and* lane(i)'s responses, so neither direction
- * is single-writer — and, while held, transportReceive only drains
- * rings between the scoped pair, so one lane's pump cannot steal or
- * deliver another lane's in-flight traffic. Outside a parallel phase
- * (no LaneContext installed) construction is a no-op.
- */
-class ChannelScope
-{
-  public:
-    ChannelScope(MessageLayer &layer, NodeId a, NodeId b);
-    ~ChannelScope();
-
-    ChannelScope(const ChannelScope &) = delete;
-    ChannelScope &operator=(const ChannelScope &) = delete;
-
-  private:
-    std::mutex *mu_ = nullptr;
 };
 
 /** Network (TCP/IP) transport model. */

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "stramash/sim/parallel_executor.hh"
-
 namespace stramash
 {
 
@@ -47,31 +45,6 @@ placementPolicyName(PlacementPolicy p)
     }
     panic("unknown PlacementPolicy");
 }
-
-/** Drives the run queues through the host executor: every epoch each
- *  node pops a block of its own queue (items charge only their
- *  executing node, so lanes never race), and the serial barrier runs
- *  the steal round. */
-class SchedDriver final : public EpochDriver
-{
-  public:
-    explicit SchedDriver(Scheduler &sched) : sched_(sched) {}
-
-    bool
-    step(NodeId node, const EpochCtx &) override
-    {
-        return sched_.runBlockOn(node, sched_.config().runBlock);
-    }
-
-    void
-    atBarrier(std::uint64_t) override
-    {
-        sched_.stealRound();
-    }
-
-  private:
-    Scheduler &sched_;
-};
 
 Scheduler::Scheduler(System &sys, SchedConfig cfg)
     : sys_(sys),
@@ -300,13 +273,13 @@ Scheduler::totalQueued() const
     return total;
 }
 
-bool
+void
 Scheduler::runBlockOn(NodeId node, std::size_t block)
 {
     // A dead node's items stay queued until the recovery hook drains
     // them to a survivor (fused) or declares them lost (Popcorn).
     if (!nodeUsable(node))
-        return false;
+        return;
     auto &q = queues_[node];
     std::size_t n = std::min(q.size(), block);
     for (std::size_t i = 0; i < n; ++i) {
@@ -316,7 +289,6 @@ Scheduler::runBlockOn(NodeId node, std::size_t block)
             std::min(queuedWeight_[node], item.weight);
         execOne(node, item);
     }
-    return !q.empty();
 }
 
 void
@@ -388,7 +360,6 @@ Scheduler::chargeStealPath(NodeId thief, NodeId victim,
     // handler echoes the grant and ships the item descriptors in
     // the reply; the resilient tryRpc is the historical rpc()
     // bit-for-bit when no fault injector is attached.
-    ChannelScope channel(sys_.msg(), thief, victim);
     Message req;
     req.type = MsgType::StealRequest;
     req.from = thief;
@@ -423,8 +394,7 @@ Scheduler::moveItems(NodeId victim, NodeId thief, unsigned n)
 void
 Scheduler::stealRound()
 {
-    // Depth histogram sampled at serial points, one sample per
-    // usable node per round.
+    // Depth histogram: one sample per usable node per round.
     for (NodeId n = 0; n < queues_.size(); ++n) {
         if (nodeUsable(n))
             depthHist_->sample(queues_[n].size());
@@ -452,15 +422,6 @@ Scheduler::stealRound()
         sys_.tracer().instant(TraceCategory::Sched, "sched.steal",
                               thief, 0, victim, got);
     }
-}
-
-Cycles
-Scheduler::runToIdle()
-{
-    Cycles before = sys_.machine().maxRuntime();
-    SchedDriver driver(*this);
-    sys_.hostExecutor().run(driver);
-    return sys_.machine().maxRuntime() - before;
 }
 
 Cycles

@@ -15,11 +15,8 @@
  *     benefit outweighs the migration charge plus the warm-cache
  *     refill of the task's footprint.
  *
- * Work stealing runs at the serial epoch barriers of the parallel
- * host executor, so a thread-count sweep stays bit-identical by
- * construction (the barrier is single-threaded at any thread count,
- * and steal decisions read only barrier-synced state). An idle node
- * steals from the deepest queue, the way each OS design can:
+ * Work stealing runs between drain rounds: an idle node steals from
+ * the deepest queue, the way each OS design can:
  *
  *   - FusedKernel: the thief pops the victim's run queue directly
  *     out of coherent shared memory — a load of the queue anchor, a
@@ -29,9 +26,8 @@
  *     a StealRequest/StealResponse RPC round-trip through the
  *     transport, riding the resilient retry/backoff machinery.
  *
- * A victim always retains at least one item, which keeps the
- * executor's quiescence check sound: the victim's lane still reports
- * pending work on the epoch a steal happens.
+ * A victim always retains at least one item, so a round in which a
+ * steal happens still executes work and the drain keeps going.
  *
  * Dead nodes drain through the crash-recovery path: the Scheduler
  * registers a CrashManager recovery hook, and the survivor adopts
@@ -51,8 +47,6 @@
 namespace stramash
 {
 
-class HostExecutor;
-
 /** Which placement policy drives place()/offloadTarget(). */
 enum class PlacementPolicy {
     /** ISA preference; offload = cyclic next alive (migrateToNext). */
@@ -68,11 +62,11 @@ const char *placementPolicyName(PlacementPolicy p);
 struct SchedConfig
 {
     PlacementPolicy policy = PlacementPolicy::LeastLoaded;
-    /** Idle-node work stealing at epoch barriers. */
+    /** Idle-node work stealing between drain rounds. */
     bool stealing = true;
     /** Max items moved per steal (victim keeps >= 1 regardless). */
     unsigned stealBatch = 8;
-    /** Items one node executes per executor epoch. */
+    /** Items one node executes per drain round. */
     std::size_t runBlock = 64;
     /** CostModel: flat charge for moving a task across nodes
      *  (state transformation, cold TLB/branch state). */
@@ -140,20 +134,9 @@ class Scheduler final : public Placer
     std::uint64_t itemsExecuted() const { return executed_; }
 
     /**
-     * Drain every run queue through the System's host executor
-     * (epoch-parallel when config().hostThreads > 1; the identical
-     * algorithm inline when 1). Steals happen at the serial epoch
-     * barriers.
-     * @return the max-node-runtime delta the drain cost.
-     */
-    Cycles runToIdle();
-
-    /**
-     * Sequential drain without an executor session: rounds of
-     * (every alive node pops and runs up to runBlock items) with a
-     * steal round between rounds. Use when the cache plugin must
-     * stay live (coherence counters are not lane-safe inside a
-     * parallel session).
+     * Drain every run queue: rounds of (every alive node pops and
+     * runs up to runBlock items, in node order) with a steal round
+     * between rounds, until a round executes nothing.
      * @return the max-node-runtime delta the drain cost.
      */
     Cycles runInline();
@@ -175,15 +158,13 @@ class Scheduler final : public Placer
     unsigned chargeStealPath(NodeId thief, NodeId victim,
                              unsigned grant);
 
-    /** One serial steal round: every idle alive node tries one
-     *  steal. Runs automatically at executor barriers. */
+    /** One steal round: every idle alive node tries one steal.
+     *  Runs automatically between runInline's drain rounds. */
     void stealRound();
 
     StatGroup &stats() { return stats_; }
 
   private:
-    friend class SchedDriver;
-
     System &sys_;
     SchedConfig cfg_;
     std::vector<std::deque<WorkItem>> queues_;
@@ -206,9 +187,8 @@ class Scheduler final : public Placer
     /** Move @p n items from the back of @p victim to @p thief,
      *  preserving their relative order. */
     void moveItems(NodeId victim, NodeId thief, unsigned n);
-    /** Pop and execute up to @p block items on @p node.
-     *  @return true when the queue still has work. */
-    bool runBlockOn(NodeId node, std::size_t block);
+    /** Pop and execute up to @p block items on @p node. */
+    void runBlockOn(NodeId node, std::size_t block);
     void execOne(NodeId node, WorkItem &item);
     /** Recovery hook: survivor adopts the dead node's queue. */
     void drainDeadNode(NodeId dead, NodeId survivor);

@@ -147,20 +147,6 @@ Machine::nodeByIsa(IsaType isa)
 Cycles
 Machine::dataAccess(NodeId nid, AccessType type, Addr pa, unsigned size)
 {
-    if (LaneContext *lc = tlsLaneContext(); lc && !lc->owns(nid)) {
-        // A lane touched a node it does not own. Functional mode
-        // charges a flat per-access latency, which is additive and
-        // can be staged; a cache-model access would mutate foreign
-        // hierarchy state mid-epoch, which the epoch guards exist to
-        // forbid — partition the workload so each node's accesses run
-        // on its owner lane.
-        panic_if(cfg_.cachePluginEnabled,
-                 "parallel session: cache-mode access to foreign node ",
-                 nid, " from lane ", lc->lane);
-        Cycles lat = node(nid).profile().l1;
-        lc->stageCharge(StagedCharge::Kind::Stall, nid, nid, lat);
-        return lat;
-    }
     if (accessTrace_)
         accessTrace_(nid, type, pa, size);
     Node &n = node(nid);
@@ -184,15 +170,6 @@ Machine::streamAccess(NodeId nid, AccessType type, Addr pa,
     if (mlp == 0)
         mlp = cfg_.streamMlp;
     panic_if(mlp == 0, "streamAccess needs mlp >= 1");
-    if (LaneContext *lc = tlsLaneContext(); lc && !lc->owns(nid)) {
-        panic_if(cfg_.cachePluginEnabled,
-                 "parallel session: cache-mode stream access to "
-                 "foreign node ",
-                 nid, " from lane ", lc->lane);
-        Cycles lat = node(nid).profile().l1;
-        lc->stageCharge(StagedCharge::Kind::Stall, nid, nid, lat);
-        return lat;
-    }
     if (accessTrace_)
         accessTrace_(nid, type, pa, size);
     Node &n = node(nid);
@@ -221,10 +198,6 @@ Machine::streamAccess(NodeId nid, AccessType type, Addr pa,
 void
 Machine::retire(NodeId nid, ICount n)
 {
-    if (LaneContext *lc = tlsLaneContext(); lc && !lc->owns(nid)) {
-        lc->stageCharge(StagedCharge::Kind::Retire, nid, nid, n);
-        return;
-    }
     if (retireTrace_)
         retireTrace_(nid, n);
     node(nid).retire(n);
@@ -234,10 +207,6 @@ Machine::retire(NodeId nid, ICount n)
 void
 Machine::stall(NodeId nid, Cycles c)
 {
-    if (LaneContext *lc = tlsLaneContext(); lc && !lc->owns(nid)) {
-        lc->stageCharge(StagedCharge::Kind::Stall, nid, nid, c);
-        return;
-    }
     node(nid).stall(c);
     maybeFireCrash(nid);
 }
@@ -252,9 +221,7 @@ Machine::ipiCycles(NodeId nid) const
 Cycles
 Machine::sendIpi(NodeId from, NodeId to)
 {
-    // A dead node neither raises nor takes interrupts. deadNodes_
-    // only changes at epoch barriers during parallel sessions, so
-    // this read is stable within an epoch.
+    // A dead node neither raises nor takes interrupts.
     if (anyNodeDead() && (!nodeAlive(from) || !nodeAlive(to)))
         return 0;
     if (anyLinkImpaired() &&
@@ -268,21 +235,8 @@ Machine::sendIpi(NodeId from, NodeId to)
                         from, 0, from, to);
         return 0;
     }
-    if (LaneContext *lc = tlsLaneContext(); lc && !lc->owns(to)) {
-        // Drop faults were rejected at session start (the per-site
-        // rng draw order would depend on host scheduling), so the
-        // staged delivery is unconditional.
-        lc->stageCharge(StagedCharge::Kind::Ipi, to, from, 0);
-        return ipiCycles(to);
-    }
     if (injector_ && injector_->shouldDropIpi(from, to))
         return 0;
-    return deliverIpi(from, to);
-}
-
-Cycles
-Machine::deliverIpi(NodeId from, NodeId to)
-{
     Node &dst = node(to);
     Cycles lat = ipiCycles(to);
     // The receiver pays the delivery latency; the span covers it.
@@ -298,22 +252,11 @@ Machine::deliverIpi(NodeId from, NodeId to)
 void
 Machine::fireScheduledIfDue(NodeId nid)
 {
-    if (injector_->crashArmed())
-        fireCrashIfDue(nid);
-    if (injector_->linkEventsArmed())
-        fireLinkEventsIfDue();
-}
-
-void
-Machine::fireCrashIfDue(NodeId nid)
-{
-    if (injector_->shouldCrashNode(nid, node(nid).cycles()))
+    if (injector_->crashArmed() &&
+        injector_->shouldCrashNode(nid, node(nid).cycles()))
         killNode(nid);
-}
-
-void
-Machine::fireLinkEventsIfDue()
-{
+    if (!injector_->linkEventsArmed())
+        return;
     // One event per poll iteration: the hook a transition invokes
     // (heal/reconcile, rejoin) advances clocks itself, which can make
     // further schedule entries due — the injector's fired flags make
@@ -415,104 +358,6 @@ Machine::maxRuntime() const
     for (const auto &n : nodes_)
         best = std::max(best, n->cycles());
     return best;
-}
-
-void
-Machine::beginParallelSession(unsigned threads)
-{
-    panic_if(parallelActive_, "nested parallel sessions");
-    panic_if(nodes_.size() > 64,
-             "parallel sessions support at most 64 nodes");
-    if (threads > 1) {
-        // Reject anything whose per-access side effects depend on
-        // the global interleaving of accesses rather than per-node
-        // program order: replay hooks see a global stream, event
-        // tracing timestamps against a global observer, and every
-        // non-crash fault site draws from its rng in arrival order.
-        panic_if(accessTrace_ || retireTrace_,
-                 "parallel session: trace hooks capture a global "
-                 "access order and cannot run multi-threaded");
-        panic_if(tracer_.enabled(),
-                 "parallel session: event tracing is single-thread "
-                 "only (set hostThreads = 1)");
-        panic_if(injector_ && injector_->plan().any(),
-                 "parallel session: transient fault sites draw rng "
-                 "in global arrival order; only scheduled crash "
-                 "plans are supported multi-threaded");
-        panic_if(injector_ &&
-                     !injector_->plan().linkScheduleParallelSafe(),
-                 "parallel session: lossy/delayed links draw rng or "
-                 "park messages in arrival order; only sever/heal "
-                 "link schedules are supported multi-threaded");
-        for (std::uint8_t l : links_) {
-            LinkState s = static_cast<LinkState>(l);
-            panic_if(s == LinkState::Lossy || s == LinkState::Delayed,
-                     "parallel session: a link is currently "
-                     "lossy/delayed; heal it (or sever it) before "
-                     "running multi-threaded");
-        }
-    }
-    parallelActive_ = true;
-    domain_->setParallelGuard(true);
-}
-
-void
-Machine::endParallelSession()
-{
-    panic_if(!parallelActive_, "endParallelSession: no session");
-    domain_->setParallelGuard(false);
-    parallelActive_ = false;
-}
-
-Cycles
-Machine::minCrossNodeLookahead() const
-{
-    Cycles w = ~Cycles(0);
-    for (const auto &n : nodes_)
-        w = std::min(w, ipiCycles(n->id()));
-    return std::max<Cycles>(w, 1);
-}
-
-void
-Machine::pollCrashSites()
-{
-    if (!injector_)
-        return;
-    if (injector_->crashArmed()) {
-        for (NodeId nid = 0; nid < byId_.size(); ++nid)
-            fireCrashIfDue(nid);
-    }
-    if (injector_->linkEventsArmed())
-        fireLinkEventsIfDue();
-}
-
-void
-Machine::fenceParallelGuards()
-{
-    domain_->fenceParallelEpoch();
-}
-
-void
-Machine::applyStagedCharge(const StagedCharge &c)
-{
-    switch (c.kind) {
-      case StagedCharge::Kind::Stall:
-        node(c.dst).stall(c.amount);
-        return;
-      case StagedCharge::Kind::Retire:
-        node(c.dst).retire(c.amount);
-        return;
-      case StagedCharge::Kind::Ipi:
-        // Liveness and link state were checked at send time; a node
-        // crashed — or a link severed — at an intervening barrier
-        // swallows the charge like any retire on a frozen clock, but
-        // skips the delivery counters too.
-        if (nodeAlive(c.dst) &&
-            linkState(c.from, c.dst) != LinkState::Severed)
-            deliverIpi(c.from, c.dst);
-        return;
-    }
-    panic("unknown staged charge kind");
 }
 
 void

@@ -17,7 +17,6 @@
 #include "stramash/mem/guest_memory.hh"
 #include "stramash/mem/phys_map.hh"
 #include "stramash/sim/node.hh"
-#include "stramash/sim/parallel_epoch.hh"
 #include "stramash/trace/trace.hh"
 
 namespace stramash
@@ -253,43 +252,6 @@ class Machine
         retireTrace_ = nullptr;
     }
 
-    // ---- parallel host sessions (sim/parallel_executor) ----
-
-    /**
-     * Enter a parallel host session: crash polling moves to the
-     * epoch barriers (pollCrashSites), the coherence/snoop epoch
-     * guards arm, and every charge aimed at a node the calling
-     * lane does not own is staged in its LaneContext instead of
-     * applied. Multi-lane sessions reject configurations whose
-     * per-access side effects are order-dependent (trace hooks,
-     * event tracing, non-crash fault sites).
-     */
-    void beginParallelSession(unsigned threads);
-    void endParallelSession();
-    bool parallelSessionActive() const { return parallelActive_; }
-
-    /**
-     * The conservative lookahead: the smallest latency any cross-node
-     * effect is charged before a peer can observe it. Cross-ISA IPI
-     * delivery (2 us, Table 2) is the cheapest interaction the
-     * machine models — coherence probes and messages charge at least
-     * as much — so the epoch window is bounded by the minimum
-     * ipiCycles over all nodes.
-     */
-    Cycles minCrossNodeLookahead() const;
-
-    /** Epoch-aligned scheduled-fault polling: fire any due scheduled
-     *  crash (ascending node order) and any due link transition, in
-     *  schedule order (serial barrier context only). */
-    void pollCrashSites();
-
-    /** Fence the coherence/snoop epoch guards at a barrier. */
-    void fenceParallelGuards();
-
-    /** Apply a charge staged by a foreign lane (owner lane context:
-     *  the caller must own c.dst). */
-    void applyStagedCharge(const StagedCharge &c);
-
   private:
     /**
      * Poll the scheduled crash + link sites after a clock advance on
@@ -300,10 +262,7 @@ class Machine
     void
     maybeFireCrash(NodeId nid)
     {
-        // Parallel sessions poll at epoch barriers instead: killNode
-        // and setLinkState mutate machine-wide state no lane may
-        // touch mid-epoch.
-        if (injector_ && !parallelActive_ &&
+        if (injector_ &&
             (injector_->crashArmed() || injector_->linkEventsArmed()))
             fireScheduledIfDue(nid);
     }
@@ -312,8 +271,6 @@ class Machine
      *  link transition (link deadlines read both endpoint clocks, so
      *  they are polled regardless of @p nid). */
     void fireScheduledIfDue(NodeId nid);
-    void fireCrashIfDue(NodeId nid);
-    void fireLinkEventsIfDue();
 
     LinkState
     rawLinkState(NodeId from, NodeId to) const
@@ -321,9 +278,6 @@ class Machine
         return static_cast<LinkState>(
             links_[from * byId_.size() + to]);
     }
-
-    /** Receiver-side IPI delivery (charge + counters + trace). */
-    Cycles deliverIpi(NodeId from, NodeId to);
 
     MachineConfig cfg_;
     GuestMemory mem_;
@@ -337,19 +291,15 @@ class Machine
     std::unique_ptr<FaultInjector> injector_;
     AccessTraceFn accessTrace_;
     RetireTraceFn retireTrace_;
-    /** Count of crashed nodes; non-zero activates liveness checks.
-     *  Only mutated at epoch barriers during parallel sessions. */
+    /** Count of crashed nodes; non-zero activates liveness checks. */
     unsigned deadNodes_ = 0;
     /** n*n directed LinkState matrix (row = from). */
     std::vector<std::uint8_t> links_;
-    /** Count of links not Up; non-zero activates link checks.
-     *  Only mutated at epoch barriers during parallel sessions. */
+    /** Count of links not Up; non-zero activates link checks. */
     unsigned impairedLinks_ = 0;
     /** Latches true on the first configured link fault. */
     bool partitionArmed_ = false;
     LinkEventFn linkHook_;
-    /** True between beginParallelSession / endParallelSession. */
-    bool parallelActive_ = false;
 };
 
 } // namespace stramash

@@ -12,8 +12,7 @@ void
 JsonStatsExporter::add(const StatGroup &group)
 {
     GroupSnapshot snap;
-    for (const auto &kv : group.counters())
-        snap.counters.emplace(kv.first, kv.second.value());
+    snap.counters = group.counters();
     for (const auto &kv : group.histograms()) {
         const Histogram &h = kv.second;
         HistSnapshot hs;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "stramash/sim/parallel_executor.hh"
-
 namespace stramash
 {
 
@@ -52,7 +50,7 @@ ShardedKvStore::ShardedKvStore(System &sys, ShardedKvConfig cfg)
     }
     expected_.assign(servers_.size(),
                      std::vector<std::uint64_t>(cfg_.keysPerShard, 0));
-    counters_.assign(servers_.size(), OwnerCounters{});
+    payload_.resize(cfg_.payloadBytes);
     breakerOpen_.assign(servers_.size(), 0);
 }
 
@@ -98,25 +96,21 @@ ShardedKvStore::ingressPath(NodeId ingress, NodeId shard)
         machine.stall(ingress, KvStore::stackCycles);
         return Errc::Ok;
     }
-    ++counters_[shard].crossShard;
+    ++crossShard_;
     if (sys_.config().osDesign == OsDesign::MultipleKernel) {
         if (breakerOpen_[shard]) {
             if (machine.linkState(ingress, owner) != LinkState::Up ||
                 machine.linkState(owner, ingress) != LinkState::Up) {
                 // Breaker open and the link still impaired: fast-fail
                 // without re-paying the full timeout/backoff budget.
-                ++counters_[shard].unreachable;
+                ++unreachable_;
                 return Errc::Unreachable;
             }
             breakerOpen_[shard] = 0;
         }
         // Shared-nothing forwarding: two messages per request. The
-        // channel scope is a no-op in sequential runs; in a parallel
-        // batch it serialises the ingress<->owner ring pair so the
-        // request/response exchange stays FIFO per channel. The
         // resilient tryRpc is the historical rpc() bit-for-bit when
         // no fault injector is attached.
-        ChannelScope channel(sys_.msg(), ingress, owner);
         Message req;
         req.type = MsgType::AppRequest;
         req.from = ingress;
@@ -127,7 +121,7 @@ ShardedKvStore::ingressPath(NodeId ingress, NodeId shard)
             // requests to this owner shed cheaply until the link
             // heals.
             breakerOpen_[shard] = 1;
-            ++counters_[shard].unreachable;
+            ++unreachable_;
             return Errc::Unreachable;
         }
         return Errc::Ok;
@@ -153,13 +147,6 @@ ShardedKvStore::ingressPath(NodeId ingress, NodeId shard)
 Errc
 ShardedKvStore::exec(KvOp op, std::uint64_t key, NodeId ingress)
 {
-    return execTagged(op, key, ingress, requestsServed());
-}
-
-Errc
-ShardedKvStore::execTagged(KvOp op, std::uint64_t key, NodeId ingress,
-                           std::uint64_t salt)
-{
     NodeId shard = shardOf(key);
     // Shed before any charge or mirror update: a dead or fenced node
     // must not acknowledge work it could lose. The caller sees
@@ -167,11 +154,11 @@ ShardedKvStore::execTagged(KvOp op, std::uint64_t key, NodeId ingress,
     // request, which is what makes "zero acknowledged-write loss"
     // checkable by verify().
     if (degradedNode(ingress) || degradedNode(serverNode_[shard])) {
-        ++counters_[shard].shed;
+        ++shed_;
         return Errc::Degraded;
     }
     if (Errc e = ingressPath(ingress, shard); e != Errc::Ok) {
-        ++counters_[shard].shed;
+        ++shed_;
         return e;
     }
 
@@ -181,22 +168,17 @@ ShardedKvStore::execTagged(KvOp op, std::uint64_t key, NodeId ingress,
     App &app = *servers_[shard];
     app.compute(2500);
     Addr slot = slotAddr(shard, key);
-    // Scratch payload buffer, reused across requests: a per-request
-    // vector would put one malloc/free on every op of every host
-    // lane of a parallel batch.
-    thread_local std::vector<std::uint8_t> payload;
-    payload.resize(cfg_.payloadBytes);
     switch (op) {
       case KvOp::Get: {
-        app.readBuf(slot + 8, payload.data(), cfg_.payloadBytes);
+        app.readBuf(slot + 8, payload_.data(), cfg_.payloadBytes);
         break;
       }
       case KvOp::Set: {
-        std::uint64_t tag = key ^ (salt << 16) ^ 0xdb;
-        std::fill(payload.begin(), payload.end(),
+        std::uint64_t tag = key ^ (served_ << 16) ^ 0xdb;
+        std::fill(payload_.begin(), payload_.end(),
                   static_cast<std::uint8_t>(key));
         app.write<std::uint64_t>(slot, tag);
-        app.writeBuf(slot + 8, payload.data(), cfg_.payloadBytes);
+        app.writeBuf(slot + 8, payload_.data(), cfg_.payloadBytes);
         expected_[shard][(key / servers_.size()) % cfg_.keysPerShard] =
             tag;
         break;
@@ -205,7 +187,7 @@ ShardedKvStore::execTagged(KvOp op, std::uint64_t key, NodeId ingress,
         panic("sharded kv: only Get/Set are part of the scaling "
               "experiment");
     }
-    ++counters_[shard].requests;
+    ++served_;
     return Errc::Ok;
 }
 
@@ -220,93 +202,6 @@ ShardedKvStore::run(std::uint64_t totalRequests)
         KvOp op = (r & 1) ? KvOp::Set : KvOp::Get;
         exec(op, key, static_cast<NodeId>(r % n));
     }
-    return sys_.machine().maxRuntime() - before;
-}
-
-namespace
-{
-
-/** One owner's slice of a parallel batch: the global stream indices
- *  (ascending, so same-slot Sets keep their sequential last-writer)
- *  plus the keys drawn for them. */
-struct OwnerQueue
-{
-    std::vector<std::uint64_t> r;
-    std::vector<std::uint64_t> key;
-};
-
-/** Serves blocks of each shard's queue per epoch, on the lane of the
- *  node the shard's server was placed on. Every request runs entirely
- *  on that lane; charges the request makes against other nodes
- *  (ingress stack work, fused doorbells, IPIs) are staged by the
- *  Machine's lane hooks and applied at the next barrier. */
-class ShardedKvDriver final : public EpochDriver
-{
-  public:
-    ShardedKvDriver(ShardedKvStore &store,
-                    std::vector<std::vector<NodeId>> shardsOn,
-                    std::vector<OwnerQueue> queues)
-        : store_(store),
-          shardsOn_(std::move(shardsOn)),
-          next_(queues.size(), 0),
-          queues_(std::move(queues))
-    {
-    }
-
-    bool
-    step(NodeId node, const EpochCtx &) override
-    {
-        // Large enough to amortise the barrier, small enough that
-        // lanes owning several shards interleave them fairly.
-        static constexpr std::size_t kBlock = 1024;
-        std::size_t n = shardsOn_.size();
-        bool more = false;
-        for (NodeId shard : shardsOn_[node]) {
-            const OwnerQueue &q = queues_[shard];
-            std::size_t &i = next_[shard];
-            std::size_t end = std::min(q.r.size(), i + kBlock);
-            for (; i < end; ++i) {
-                KvOp op = (q.r[i] & 1) ? KvOp::Set : KvOp::Get;
-                store_.execTagged(op, q.key[i],
-                                  static_cast<NodeId>(q.r[i] % n),
-                                  q.r[i]);
-            }
-            more |= i < q.r.size();
-        }
-        return more;
-    }
-
-  private:
-    ShardedKvStore &store_;
-    /** Node -> shards whose server lives there. */
-    std::vector<std::vector<NodeId>> shardsOn_;
-    std::vector<std::size_t> next_;
-    std::vector<OwnerQueue> queues_;
-};
-
-} // namespace
-
-Cycles
-ShardedKvStore::runParallel(std::uint64_t totalRequests,
-                            HostExecutor &exec)
-{
-    Cycles before = sys_.machine().maxRuntime();
-    std::size_t n = servers_.size();
-    // Draw the whole request stream up front, consuming the rng in
-    // exactly the order run() would, then partition by shard owner.
-    std::vector<OwnerQueue> queues(n);
-    for (std::uint64_t r = 0; r < totalRequests; ++r) {
-        std::uint64_t key = rng_.below64(n * cfg_.keysPerShard);
-        OwnerQueue &q = queues[shardOf(key)];
-        q.r.push_back(r);
-        q.key.push_back(key);
-    }
-    std::vector<std::vector<NodeId>> shardsOn(sys_.nodeCount());
-    for (NodeId s = 0; s < serverNode_.size(); ++s)
-        shardsOn[serverNode_[s]].push_back(s);
-    ShardedKvDriver driver(*this, std::move(shardsOn),
-                           std::move(queues));
-    exec.run(driver);
     return sys_.machine().maxRuntime() - before;
 }
 

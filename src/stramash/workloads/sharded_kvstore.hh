@@ -92,16 +92,6 @@ class ShardedKvStore
      */
     Errc exec(KvOp op, std::uint64_t key, NodeId ingress);
 
-    /**
-     * Serve one request with an explicit tag salt. exec() uses the
-     * running request count; the parallel batch path passes the
-     * request's global stream index instead, which is the same value
-     * the sequential loop would have seen — so the tags written (and
-     * verified) are bit-identical regardless of execution order.
-     */
-    Errc execTagged(KvOp op, std::uint64_t key, NodeId ingress,
-                    std::uint64_t salt);
-
     // ---- hooks for the open-loop front end (stramash/load) ----
 
     std::size_t keysPerShard() const { return cfg_.keysPerShard; }
@@ -139,70 +129,19 @@ class ShardedKvStore
      */
     Cycles run(std::uint64_t totalRequests);
 
-    /**
-     * The same batch as run(), executed shard-parallel on @p exec's
-     * host threads: the request stream is drawn up front (consuming
-     * the rng exactly as run() would), partitioned by shard owner,
-     * and each owner's slice is served on the host lane that owns the
-     * node. Cross-node charges ride the executor's epoch staging, so
-     * every per-node clock, counter and slot tag lands bit-identical
-     * to the sequential run — including with a 1-thread executor.
-     * @return the max-node-runtime delta the batch cost.
-     */
-    Cycles runParallel(std::uint64_t totalRequests, HostExecutor &exec);
-
     /** Re-read every slot and compare against the host-side mirror.
      *  @return true when nothing was lost or corrupted. */
     bool verify();
 
-    std::uint64_t requestsServed() const
-    {
-        std::uint64_t total = 0;
-        for (const OwnerCounters &c : counters_)
-            total += c.requests;
-        return total;
-    }
-    std::uint64_t crossShardRequests() const
-    {
-        std::uint64_t total = 0;
-        for (const OwnerCounters &c : counters_)
-            total += c.crossShard;
-        return total;
-    }
+    std::uint64_t requestsServed() const { return served_; }
+    std::uint64_t crossShardRequests() const { return crossShard_; }
     /** Requests shed because a node was dead or partition-fenced. */
-    std::uint64_t requestsShed() const
-    {
-        std::uint64_t total = 0;
-        for (const OwnerCounters &c : counters_)
-            total += c.shed;
-        return total;
-    }
+    std::uint64_t requestsShed() const { return shed_; }
     /** Popcorn forwards refused by the ingress circuit breaker or
      *  given up after exhausting the RPC retry budget. */
-    std::uint64_t unreachableForwards() const
-    {
-        std::uint64_t total = 0;
-        for (const OwnerCounters &c : counters_)
-            total += c.unreachable;
-        return total;
-    }
+    std::uint64_t unreachableForwards() const { return unreachable_; }
 
   private:
-    /**
-     * Request accounting, sliced by shard owner. A parallel batch
-     * serves each request on its owner's host lane, so every slot has
-     * exactly one writer — and the cache-line alignment keeps the
-     * lanes from false-sharing what would otherwise be two hammered
-     * global words. Readers run at serial points (totals above).
-     */
-    struct alignas(64) OwnerCounters
-    {
-        std::uint64_t requests = 0;
-        std::uint64_t crossShard = 0;
-        std::uint64_t shed = 0;
-        std::uint64_t unreachable = 0;
-    };
-
     System &sys_;
     ShardedKvConfig cfg_;
     Rng rng_;
@@ -214,13 +153,17 @@ class ShardedKvStore
     std::vector<Addr> slabs_;
     /** Host-side mirror of every slot's tag word, for verify(). */
     std::vector<std::vector<std::uint64_t>> expected_;
-    std::vector<OwnerCounters> counters_;
+    /** Reused payload buffer (no per-request allocation). */
+    std::vector<std::uint8_t> payload_;
+    std::uint64_t served_ = 0;
+    std::uint64_t crossShard_ = 0;
+    std::uint64_t shed_ = 0;
+    std::uint64_t unreachable_ = 0;
     /** Per-owner circuit breaker for Popcorn forwards: opened by a
      *  failed tryRpc, re-closed when the chaos layer reports the
      *  ingress<->owner links Up again (standing in for a background
      *  probe). While open, forwards fast-fail instead of burning the
-     *  full retry/backoff budget per request. One writer per owner
-     *  lane in parallel batches. */
+     *  full retry/backoff budget per request. */
     std::vector<std::uint8_t> breakerOpen_;
 
     /** True when @p node cannot take new work: machine-dead or

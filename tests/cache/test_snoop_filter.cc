@@ -252,7 +252,7 @@ TEST_P(Differential, FilterMatchesBroadcastExactly)
             const auto &bc = broadcast->nodeStats(n).counters();
             ASSERT_EQ(fc.size(), bc.size());
             for (const auto &[name, counter] : fc) {
-                EXPECT_EQ(counter.value(), bc.at(name).value())
+                EXPECT_EQ(counter, bc.at(name))
                     << "counter " << name << " node " << n
                     << " model " << memoryModelName(model);
             }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "stramash/common/stats.hh"
 
@@ -8,13 +9,14 @@ using namespace stramash;
 
 TEST(Counter, IncrementAndAdd)
 {
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
+    StatGroup g("g");
+    Counter &c = g.counter("c");
+    EXPECT_EQ(c, 0u);
     ++c;
     c += 41;
-    EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
+    EXPECT_EQ(g.value("c"), 42u);
+    g.resetAll();
+    EXPECT_EQ(c, 0u);
 }
 
 TEST(StatGroup, CounterPointersAreStable)
@@ -22,8 +24,11 @@ TEST(StatGroup, CounterPointersAreStable)
     StatGroup g("g");
     Counter &a = g.counter("a");
     a += 7;
-    for (int i = 0; i < 100; ++i)
-        g.counter("x" + std::to_string(i));
+    for (int i = 0; i < 100; ++i) {
+        std::string name = "x";
+        name += std::to_string(i);
+        g.counter(name);
+    }
     EXPECT_EQ(&g.counter("a"), &a);
     EXPECT_EQ(g.value("a"), 7u);
 }

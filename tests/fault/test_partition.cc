@@ -21,7 +21,7 @@
  *    epochs decide whose declarations stand.
  *
  * Timing stays deterministic: a mid-run sever/heal schedule replays
- * bit-identically across host-thread counts, and a plan whose link
+ * bit-identically run after run, and a plan whose link
  * events never fire leaves every clock and counter untouched.
  */
 
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "stramash/load/service.hh"
-#include "stramash/sim/parallel_executor.hh"
 #include "stramash/trace/json_stats.hh"
 #include "stramash/workloads/npb.hh"
 #include "stramash/workloads/sharded_kvstore.hh"
@@ -509,8 +508,7 @@ TEST(Partition, FrontEndShedsAtTheSocketWhileFencedAndResumesOnHeal)
 }
 
 // ---------------------------------------------------------------------
-// Determinism: a scheduled sever/heal replays bit-identically across
-// host-thread counts.
+// Determinism: a scheduled sever/heal replays bit-identically.
 // ---------------------------------------------------------------------
 
 namespace
@@ -526,7 +524,7 @@ statsString(System &sys)
     return os.str();
 }
 
-struct KvParallelOutcome
+struct KvPartitionOutcome
 {
     bool verified = false;
     std::uint64_t served = 0;
@@ -536,7 +534,7 @@ struct KvParallelOutcome
     std::string statsJson;
 
     bool
-    operator==(const KvParallelOutcome &o) const
+    operator==(const KvPartitionOutcome &o) const
     {
         return verified == o.verified && served == o.served &&
                severed == o.severed && healed == o.healed &&
@@ -544,21 +542,20 @@ struct KvParallelOutcome
     }
 };
 
-KvParallelOutcome
-runParallelPartition(unsigned threads, const FaultPlan &plan)
+KvPartitionOutcome
+runPartitioned(const FaultPlan &plan)
 {
     SystemConfig cfg;
     cfg.osDesign = OsDesign::FusedKernel;
     cfg.cachePluginEnabled = false;
     cfg.topology = nNodes(4);
-    cfg.hostThreads = threads;
     cfg.faultPlan = plan;
     System sys(cfg);
     ShardedKvStore store(sys);
     store.populate();
-    store.runParallel(1200, sys.hostExecutor());
+    store.run(1200);
 
-    KvParallelOutcome out;
+    KvPartitionOutcome out;
     out.verified = store.verify();
     out.served = store.requestsServed();
     out.severed = partitionStat(sys, "links_severed");
@@ -570,7 +567,7 @@ runParallelPartition(unsigned threads, const FaultPlan &plan)
 
 } // namespace
 
-TEST(Partition, SeverHealScheduleIsBitIdenticalAcrossHostThreads)
+TEST(Partition, SeverHealScheduleReplaysBitIdentically)
 {
     // Probe the fault-free span to place the events mid-run.
     Cycles span = 0;
@@ -582,7 +579,7 @@ TEST(Partition, SeverHealScheduleIsBitIdenticalAcrossHostThreads)
         System sys(cfg);
         ShardedKvStore store(sys);
         store.populate();
-        store.runParallel(1200, sys.hostExecutor());
+        store.run(1200);
         span = sys.machine().node(0).cycles();
     }
     ASSERT_GT(span, 0u);
@@ -590,17 +587,13 @@ TEST(Partition, SeverHealScheduleIsBitIdenticalAcrossHostThreads)
     FaultPlan plan;
     plan.severLinkAt(0, 1, span / 3);
     plan.healLinkAt(0, 1, 2 * span / 3);
-    ASSERT_TRUE(plan.linkScheduleParallelSafe());
 
-    KvParallelOutcome ref = runParallelPartition(1, plan);
-    ASSERT_TRUE(ref.verified);
-    ASSERT_EQ(ref.served, 1200u);
-    EXPECT_EQ(ref.severed, 2u);
-    EXPECT_EQ(ref.healed, 2u);
-    for (unsigned threads : {2u, 4u}) {
-        KvParallelOutcome par = runParallelPartition(threads, plan);
-        EXPECT_TRUE(par == ref) << threads << " threads";
-    }
+    KvPartitionOutcome first = runPartitioned(plan);
+    ASSERT_TRUE(first.verified);
+    ASSERT_EQ(first.served, 1200u);
+    EXPECT_EQ(first.severed, 2u);
+    EXPECT_EQ(first.healed, 2u);
+    EXPECT_TRUE(runPartitioned(plan) == first);
 }
 
 // ---------------------------------------------------------------------

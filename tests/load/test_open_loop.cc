@@ -106,16 +106,16 @@ TEST(OpenLoop, FusedStaleHitDetectedByCoherentTag)
     EXPECT_EQ(fe.inject(200000, KvOp::Get, 1, 0), Errc::Ok);
     fe.drain();
     StatGroup &g = fe.stats();
-    EXPECT_EQ(g.counter("cache_misses").value(), 1u);
-    EXPECT_EQ(g.counter("cache_hits").value(), 1u);
+    EXPECT_EQ(g.counter("cache_misses"), 1u);
+    EXPECT_EQ(g.counter("cache_hits"), 1u);
     EXPECT_TRUE(fe.cachesKey(0, 1));
 
     // A write at the owner: no messages on the fused design, just a
     // coherence-side invalidation of the remote copy.
     EXPECT_EQ(fe.inject(400000, KvOp::Set, 1, 1), Errc::Ok);
     fe.drain();
-    EXPECT_EQ(g.counter("coherent_invalidations").value(), 1u);
-    EXPECT_EQ(g.counter("invalidations_sent").value(), 0u);
+    EXPECT_EQ(g.counter("coherent_invalidations"), 1u);
+    EXPECT_EQ(g.counter("invalidations_sent"), 0u);
     // The entry is still present but stale...
     EXPECT_TRUE(fe.cachesKey(0, 1));
 
@@ -123,11 +123,11 @@ TEST(OpenLoop, FusedStaleHitDetectedByCoherentTag)
     // refetches, and leaves a fresh copy behind.
     EXPECT_EQ(fe.inject(600000, KvOp::Get, 1, 0), Errc::Ok);
     fe.drain();
-    EXPECT_EQ(g.counter("cache_stale").value(), 1u);
-    EXPECT_EQ(g.counter("cache_hits").value(), 1u);
+    EXPECT_EQ(g.counter("cache_stale"), 1u);
+    EXPECT_EQ(g.counter("cache_hits"), 1u);
     EXPECT_EQ(fe.inject(800000, KvOp::Get, 1, 0), Errc::Ok);
     fe.drain();
-    EXPECT_EQ(g.counter("cache_hits").value(), 2u);
+    EXPECT_EQ(g.counter("cache_hits"), 2u);
     EXPECT_TRUE(store.verify());
 }
 
@@ -150,16 +150,16 @@ TEST(OpenLoop, PopcornWritesPushExplicitInvalidations)
     EXPECT_EQ(fe.inject(300000, KvOp::Set, 1, 1), Errc::Ok);
     fe.drain();
     StatGroup &g = fe.stats();
-    EXPECT_EQ(g.counter("invalidations_sent").value(), 1u);
-    EXPECT_EQ(g.counter("invalidations_received").value(), 1u);
-    EXPECT_EQ(g.counter("coherent_invalidations").value(), 0u);
+    EXPECT_EQ(g.counter("invalidations_sent"), 1u);
+    EXPECT_EQ(g.counter("invalidations_received"), 1u);
+    EXPECT_EQ(g.counter("coherent_invalidations"), 0u);
     EXPECT_FALSE(fe.cachesKey(0, 1));
 
     // The next read is a clean miss, never a stale hit.
     EXPECT_EQ(fe.inject(500000, KvOp::Get, 1, 0), Errc::Ok);
     fe.drain();
-    EXPECT_EQ(g.counter("cache_stale").value(), 0u);
-    EXPECT_EQ(g.counter("cache_misses").value(), 2u);
+    EXPECT_EQ(g.counter("cache_stale"), 0u);
+    EXPECT_EQ(g.counter("cache_misses"), 2u);
     EXPECT_TRUE(store.verify());
 }
 

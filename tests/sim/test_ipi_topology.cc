@@ -4,6 +4,19 @@
 
 using namespace stramash;
 
+namespace stramash
+{
+
+// Without this gtest prints the model as raw bytes, the name's heap
+// pointer included, and that address ends up in the ctest test names.
+void
+PrintTo(const IpiTopologyModel &m, std::ostream *os)
+{
+    *os << m.name;
+}
+
+} // namespace stramash
+
 class IpiModels : public testing::TestWithParam<IpiTopologyModel>
 {
 };
