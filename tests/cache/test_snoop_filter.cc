@@ -268,6 +268,105 @@ INSTANTIATE_TEST_SUITE_P(
 namespace
 {
 
+/** FNV-1a over a stream of integers. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    void
+    add(const std::string &s)
+    {
+        for (char c : s)
+            add(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
+    }
+};
+
+} // namespace
+
+/**
+ * Golden output of the cache model. The differential test above runs
+ * both of its sides through the same hierarchy code, so it cannot see
+ * a change that alters what the cache model simulates. This test pins
+ * the exact AccessResult stream and the final per-node counters of
+ * one seeded trace, recorded from the model as it stands, for private
+ * and shared LLCs under two memory models. Any refactor of
+ * cache/hierarchy/coherence must leave these hashes unchanged.
+ */
+TEST(CacheGolden, OutputMatchesRecordedHashes)
+{
+    struct Config
+    {
+        bool sharedLlc;
+        MemoryModel model;
+        std::uint64_t resultsHash;
+        std::uint64_t countersHash;
+    };
+    const Config configs[] = {
+        {false, MemoryModel::Separated, 0x8d53d1e3b42d9df1ull,
+         0x2b27766c4b659fa6ull},
+        {false, MemoryModel::FullyShared, 0x4b69e59f3ff15a29ull,
+         0x7d1b0d467791dd1aull},
+        {true, MemoryModel::Separated, 0x25e10872910ec917ull,
+         0x441466a29a0bd68bull},
+        {true, MemoryModel::FullyShared, 0x55c6630e82bb0c6bull,
+         0x95a2e414492c363dull},
+    };
+
+    for (const Config &cfg : configs) {
+        SCOPED_TRACE(std::string(cfg.sharedLlc ? "shared" : "private") +
+                     " LLC, " + memoryModelName(cfg.model));
+        PhysMap map = PhysMap::paperDefault(cfg.model);
+        CacheGeometry shared{16_KiB, 4};
+        CoherenceDomain d(map, SnoopCosts{},
+                          cfg.sharedLlc ? &shared : nullptr);
+        d.addNode(0, tinyGeom(), latencyProfile(CoreModel::XeonGold));
+        d.addNode(1, tinyGeom(),
+                  latencyProfile(CoreModel::ThunderX2));
+
+        Fnv results;
+        auto run = [&](const AccessResult &r) {
+            results.add(r.latency);
+            results.add(static_cast<std::uint64_t>(r.level));
+            results.add(static_cast<std::uint64_t>(r.memClass));
+            results.add(r.snoopInvalidate);
+            results.add(r.snoopData);
+        };
+        auto ops = randomTrace(42, 2, 20000, 64_KiB);
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            const Op &op = ops[i];
+            run(d.accessLine(op.node, op.type,
+                             op.addr + (i % 2 ? 2_GiB : 0)));
+        }
+        d.flushAll();
+        for (const Op &op : randomTrace(43, 2, 5000, 64_KiB))
+            run(d.accessLine(op.node, op.type, op.addr));
+
+        Fnv counters;
+        for (NodeId n = 0; n < 2; ++n) {
+            for (const auto &[name, value] : d.nodeStats(n).counters()) {
+                counters.add(name);
+                counters.add(value);
+            }
+        }
+        EXPECT_EQ(results.h, cfg.resultsHash)
+            << std::hex << "results 0x" << results.h;
+        EXPECT_EQ(counters.h, cfg.countersHash)
+            << std::hex << "counters 0x" << counters.h;
+    }
+}
+
+namespace
+{
+
 /** holds() across every node must imply a presence bit. */
 void
 expectSuperset(CoherenceDomain &d, unsigned numNodes,
