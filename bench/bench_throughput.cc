@@ -2,16 +2,12 @@
  * @file
  * Simulator-throughput benchmark for the coherence hot loop: how many
  * simulated line accesses per second the domain sustains, compared
- * across three implementations of the same simulation:
+ * across two modes of the same simulation:
  *
- *   legacy     a faithful port of the pre-directory CoherenceDomain
- *              (std::map node contexts, broadcast probing, four-probe
- *              holds(), per-miss std::function) — the baseline the
- *              speedup is quoted against
- *   broadcast  today's CoherenceDomain with the directory disabled
- *              (setBroadcastMode): dense contexts, L1 fast path,
- *              single-probe membership, but still probing every node
- *   filter     today's default: the snoop-filter directory on top
+ *   broadcast  CoherenceDomain with the directory disabled
+ *              (setBroadcastMode), probing every node on each
+ *              coherence action
+ *   filter     the default: the snoop-filter directory on top
  *
  * Unlike the figure benches this measures *wall-clock* simulator
  * speed, not simulated time — the ROADMAP's "as fast as the hardware
@@ -22,29 +18,26 @@
  *                    private-data common case where broadcast pays
  *                    full hierarchy probes for nothing
  *   shared_rw        two nodes mixing loads/stores over one shared
- *                    region — the 2-node shared-memory workload the
- *                    acceptance gate is measured on
+ *                    region — the 2-node shared-memory workload
  *   pingpong         write-write contention on a few hot lines
  *
  * Every run is repeated and the best rate kept (the simulation is
  * deterministic; repetition only rejects scheduler noise), and all
- * per-node counters are cross-checked across the three
- * implementations so a speedup can never come from simulating
- * something different. Emits BENCH_coherence.json (override with
- * --json <path>) for the perf-smoke CI job.
+ * per-node counters are cross-checked across the two modes so a
+ * speedup can never come from simulating something different. Emits
+ * BENCH_coherence.json (override with --json <path>) for the
+ * perf-smoke CI job.
  */
 
 #include <chrono>
 #include <cstdio>
 #include <ctime>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/bench_util.hh"
-#include "common/legacy_coherence.hh"
 #include "stramash/cache/coherence.hh"
 #include "stramash/common/units.hh"
 
@@ -53,8 +46,6 @@ using namespace stramash::bench;
 
 namespace
 {
-
-enum class Mode { Legacy, Broadcast, Filter };
 
 struct Scenario
 {
@@ -146,15 +137,17 @@ snapshotCounters(StatGroup &stats, CounterSnapshot &out)
         out.emplace_back(name, c);
 }
 
-/**
- * One full measurement: fresh domain, warm-up prefix, timed body.
- * Templated over the domain type so legacy and current builds share
- * the exact same driver loop.
- */
-template <typename Domain>
+/** One full measurement: fresh domain, warm-up prefix, timed body. */
 RunResult
-runOnce(const Scenario &s, Domain &d)
+runOnce(const Scenario &s, bool broadcast)
 {
+    PhysMap map = PhysMap::paperDefault(MemoryModel::FullyShared);
+    auto geom = HierarchyGeometry::paperDefault(4_MiB);
+    CoherenceDomain d(map, SnoopCosts{});
+    d.setBroadcastMode(broadcast);
+    d.addNode(0, geom, latencyProfile(CoreModel::XeonGold));
+    d.addNode(1, geom, latencyProfile(CoreModel::ThunderX2));
+
     std::uint64_t warmup = s.accesses / 8;
     NodeId node;
     AccessType type;
@@ -178,40 +171,21 @@ runOnce(const Scenario &s, Domain &d)
     return r;
 }
 
-RunResult
-runMode(const Scenario &s, const PhysMap &map, Mode mode)
-{
-    auto geom = HierarchyGeometry::paperDefault(4_MiB);
-    if (mode == Mode::Legacy) {
-        LegacyCoherenceDomain d(map, SnoopCosts{});
-        d.addNode(0, geom, latencyProfile(CoreModel::XeonGold));
-        d.addNode(1, geom, latencyProfile(CoreModel::ThunderX2));
-        return runOnce(s, d);
-    }
-    CoherenceDomain d(map, SnoopCosts{});
-    d.setBroadcastMode(mode == Mode::Broadcast);
-    d.addNode(0, geom, latencyProfile(CoreModel::XeonGold));
-    d.addNode(1, geom, latencyProfile(CoreModel::ThunderX2));
-    return runOnce(s, d);
-}
-
 struct ScenarioResults
 {
-    RunResult legacy;
     RunResult bcast;
     RunResult filt;
 };
 
 /**
- * Measure all three implementations, interleaved within each
- * repetition: on a busy host the background load drifts over the
- * seconds a scenario takes, and running the implementations
- * back-to-back inside one rep exposes them to the same conditions —
- * the *ratios* the checks gate on stay stable even when the absolute
- * rates wobble.
+ * Measure both modes, interleaved within each repetition: on a busy
+ * host the background load drifts over the seconds a scenario takes,
+ * and running the modes back-to-back inside one rep exposes them to
+ * the same conditions — the ratio stays stable even when the
+ * absolute rates wobble.
  */
 ScenarioResults
-runScenario(const Scenario &s, const PhysMap &map)
+runScenario(const Scenario &s)
 {
     constexpr int reps = 3;
     ScenarioResults best;
@@ -220,9 +194,8 @@ runScenario(const Scenario &s, const PhysMap &map)
             b = std::move(r);
     };
     for (int rep = 0; rep < reps; ++rep) {
-        keep(best.legacy, runMode(s, map, Mode::Legacy));
-        keep(best.bcast, runMode(s, map, Mode::Broadcast));
-        keep(best.filt, runMode(s, map, Mode::Filter));
+        keep(best.bcast, runOnce(s, true));
+        keep(best.filt, runOnce(s, false));
     }
     return best;
 }
@@ -249,55 +222,33 @@ main(int argc, char **argv)
         {"pingpong", genPingpong, 2'000'000},
     };
 
-    PhysMap map = PhysMap::paperDefault(MemoryModel::FullyShared);
-
-    Table tab({"scenario", "legacy Macc/s", "broadcast Macc/s",
-               "filter Macc/s", "vs legacy", "vs broadcast"});
+    Table tab({"scenario", "broadcast Macc/s", "filter Macc/s",
+               "vs broadcast"});
     std::vector<std::pair<std::string, double>> metrics;
-    double pingpongSpeedup = 0.0;
     bool countersMatch = true;
 
     for (const Scenario &s : scenarios) {
-        ScenarioResults sr = runScenario(s, map);
-        const RunResult &legacy = sr.legacy;
+        ScenarioResults sr = runScenario(s);
         const RunResult &bcast = sr.bcast;
         const RunResult &filt = sr.filt;
-        countersMatch &= legacy.counters == bcast.counters &&
-                         bcast.counters == filt.counters;
-        auto ratio = [](const RunResult &num, const RunResult &den) {
-            return den.accessesPerSec > 0
-                       ? num.accessesPerSec / den.accessesPerSec
-                       : 0.0;
-        };
-        double vsLegacy = ratio(filt, legacy);
-        double vsBcast = ratio(filt, bcast);
-        if (std::strcmp(s.name, "pingpong") == 0)
-            pingpongSpeedup = vsLegacy;
-        tab.addRow({s.name, Table::num(legacy.accessesPerSec / 1e6, 2),
-                    Table::num(bcast.accessesPerSec / 1e6, 2),
+        countersMatch &= bcast.counters == filt.counters;
+        double vsBcast = bcast.accessesPerSec > 0
+                             ? filt.accessesPerSec / bcast.accessesPerSec
+                             : 0.0;
+        tab.addRow({s.name, Table::num(bcast.accessesPerSec / 1e6, 2),
                     Table::num(filt.accessesPerSec / 1e6, 2),
-                    Table::num(vsLegacy, 2) + "x",
                     Table::num(vsBcast, 2) + "x"});
-        metrics.emplace_back(std::string(s.name) + ".legacy_aps",
-                             legacy.accessesPerSec);
         metrics.emplace_back(std::string(s.name) + ".broadcast_aps",
                              bcast.accessesPerSec);
         metrics.emplace_back(std::string(s.name) + ".filter_aps",
                              filt.accessesPerSec);
-        metrics.emplace_back(std::string(s.name) + ".speedup",
-                             vsLegacy);
     }
     tab.print();
     std::printf("\n");
 
     check(countersMatch,
-          "legacy, broadcast and filter simulate identically "
+          "broadcast and filter simulate identically "
           "(all per-node counters equal)");
-    check(pingpongSpeedup >= 2.0,
-          "hot loop gives >= 2x on the 2-node shared-memory workload "
-          "(write-write sharing on hot lines) vs the pre-directory "
-          "path (got " +
-              Table::num(pingpongSpeedup, 2) + "x)");
     check(writeBenchJson(jsonPath, metrics), "wrote " + jsonPath);
     return checksExitCode();
 }

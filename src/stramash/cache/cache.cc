@@ -41,101 +41,76 @@ SetAssocCache::SetAssocCache(const CacheGeometry &geom) : geom_(geom)
     lines_.resize(numSets_ * geom_.ways);
 }
 
+/**
+ * The one tag scan: the index in lines_ of the valid line holding
+ * @p addr, or `miss`. A non-null @p victim gets the way to replace.
+ */
 std::size_t
-SetAssocCache::setIndex(Addr addr) const
+SetAssocCache::scan(Addr addr, std::size_t *victim) const
 {
-    return (addr >> lineShift_) & setMask_;
-}
-
-Addr
-SetAssocCache::tagOf(Addr addr) const
-{
-    return addr >> lineShift_;
-}
-
-Addr
-SetAssocCache::addrOf(Addr tag, std::size_t) const
-{
-    // The tag keeps the full line number, so the set index is
-    // redundant for reconstruction.
-    return tag << lineShift_;
+    std::size_t first = ((addr >> lineShift_) & setMask_) * geom_.ways;
+    Addr tag = addr >> lineShift_; // the full line number
+    if (victim)
+        *victim = first;
+    for (std::size_t i = first; i < first + geom_.ways; ++i) {
+        const Line &l = lines_[i];
+        if (l.valid() && l.tag == tag)
+            return i;
+        // Replacement choice: the first invalid way, else the least
+        // recently used one.
+        if (victim) {
+            const Line &v = lines_[*victim];
+            if (v.valid() && (!l.valid() || l.lru < v.lru))
+                *victim = i;
+        }
+    }
+    return miss;
 }
 
 SetAssocCache::Line *
 SetAssocCache::probe(Addr addr)
 {
-    std::size_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    Line *base = &lines_[set * geom_.ways];
-    for (unsigned w = 0; w < geom_.ways; ++w) {
-        Line &l = base[w];
-        if (l.valid() && l.tag == tag) {
-            l.lru = ++tick_;
-            return &l;
-        }
-    }
-    return nullptr;
-}
-
-const SetAssocCache::Line *
-SetAssocCache::peek(Addr addr) const
-{
-    std::size_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    const Line *base = &lines_[set * geom_.ways];
-    for (unsigned w = 0; w < geom_.ways; ++w) {
-        const Line &l = base[w];
-        if (l.valid() && l.tag == tag)
-            return &l;
-    }
-    return nullptr;
+    Line *l = find(addr);
+    if (l)
+        l->lru = ++tick_;
+    return l;
 }
 
 SetAssocCache::Line *
-SetAssocCache::peekMutable(Addr addr)
+SetAssocCache::find(Addr addr)
 {
-    return const_cast<Line *>(
-        static_cast<const SetAssocCache *>(this)->peek(addr));
+    std::size_t i = scan(addr);
+    return i == miss ? nullptr : &lines_[i];
+}
+
+const SetAssocCache::Line *
+SetAssocCache::find(Addr addr) const
+{
+    std::size_t i = scan(addr);
+    return i == miss ? nullptr : &lines_[i];
 }
 
 std::optional<SetAssocCache::Victim>
 SetAssocCache::insert(Addr addr, Mesi state)
 {
     panic_if(state == Mesi::Invalid, "inserting an Invalid line");
-    std::size_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    Line *base = &lines_[set * geom_.ways];
-
+    std::size_t way;
+    std::size_t hit = scan(addr, &way);
     // Reuse the line if already present (state change).
-    Line *victim = nullptr;
-    for (unsigned w = 0; w < geom_.ways; ++w) {
-        Line &l = base[w];
-        if (l.valid() && l.tag == tag) {
-            l.state = state;
-            l.lru = ++tick_;
-            return std::nullopt;
-        }
-        if (!l.valid()) {
-            if (!victim || victim->valid())
-                victim = &l;
-        } else if (!victim || (victim->valid() && l.lru < victim->lru)) {
-            victim = &l;
-        }
-    }
-
+    Line &l = lines_[hit == miss ? way : hit];
     std::optional<Victim> out;
-    if (victim->valid())
-        out = Victim{addrOf(victim->tag, set), victim->dirty()};
-    victim->tag = tag;
-    victim->state = state;
-    victim->lru = ++tick_;
+    if (hit == miss && l.valid())
+        out = Victim{l.tag << lineShift_, l.dirty()};
+    l.tag = addr >> lineShift_;
+    l.state = state;
+    l.lru = ++tick_;
     return out;
 }
 
 Mesi
 SetAssocCache::invalidate(Addr addr)
 {
-    Line *l = peekMutable(addr);
+    Line *l = find(addr);
     if (!l)
         return Mesi::Invalid;
     Mesi prev = l->state;

@@ -76,8 +76,8 @@ class SetAssocCache
     Line *probe(Addr addr);
 
     /** Look up without disturbing LRU (for coherence snoops). */
-    const Line *peek(Addr addr) const;
-    Line *peekMutable(Addr addr);
+    Line *find(Addr addr);
+    const Line *find(Addr addr) const;
 
     /**
      * Install a line in the given state, evicting the LRU victim of
@@ -96,7 +96,7 @@ class SetAssocCache
     Mesi invalidate(Addr addr);
 
     /** True if the line is present in any valid state. */
-    bool holds(Addr addr) const { return peek(addr) != nullptr; }
+    bool holds(Addr addr) const { return find(addr) != nullptr; }
 
     /** Invalidate everything (e.g. between experiment phases). */
     void flushAll();
@@ -115,9 +115,8 @@ class SetAssocCache
     std::vector<Line> lines_; // sets * ways, row-major by set
     std::uint64_t tick_ = 0;
 
-    std::size_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-    Addr addrOf(Addr tag, std::size_t set) const;
+    static constexpr std::size_t miss = SIZE_MAX;
+    std::size_t scan(Addr addr, std::size_t *victim = nullptr) const;
 };
 
 } // namespace stramash

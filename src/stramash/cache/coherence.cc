@@ -107,7 +107,12 @@ CoherenceDomain::snoopOthers(NodeId node, AccessType type, Addr lineAddr,
             static_cast<NodeId>(std::countr_zero(candidates));
         candidates &= candidates - 1;
         CacheHierarchy &other = *nodes_[otherId].hier;
-        if (!other.holds(lineAddr)) {
+        // Snoop Invalidate: all other holders drop the line (paper
+        // §7.3). A read keeps the holder's copy, downgraded M/E -> S.
+        Mesi prior = type == AccessType::Store
+                         ? other.invalidateLine(lineAddr)
+                         : other.downgradeLine(lineAddr);
+        if (prior == Mesi::Invalid) {
             // Directory false positive (an aliased line, or a copy
             // that left silently): just skip. No "repair" — the
             // filter's counters are shared between aliasing lines,
@@ -120,11 +125,8 @@ CoherenceDomain::snoopOthers(NodeId node, AccessType type, Addr lineAddr,
         if (othersHold)
             *othersHold = true;
         if (type == AccessType::Store) {
-            // Snoop Invalidate: all other holders drop the line
-            // (paper §7.3).
-            bool dirty = other.invalidateLine(lineAddr);
             filter_.removeSharer(lineAddr, otherId);
-            evicted(otherId, lineAddr, dirty);
+            evicted(otherId, lineAddr, prior == Mesi::Modified);
             extra += snoopCosts_.snoopInvalidate;
             res.snoopInvalidate = true;
             ++*self.snoopInvalidates;
@@ -133,20 +135,16 @@ CoherenceDomain::snoopOthers(NodeId node, AccessType type, Addr lineAddr,
                                  "coh.snoop_invalidate", node, 0,
                                  lineAddr, otherId);
             }
-        } else {
-            // Read: only costs a snoop if the holder has it dirty
+        } else if (prior == Mesi::Modified || prior == Mesi::Exclusive) {
+            // Read: only costs a snoop if the holder had it dirty
             // (Snoop Data, M/E -> S transition).
-            Mesi state = other.lineState(lineAddr);
-            if (state == Mesi::Modified || state == Mesi::Exclusive) {
-                other.downgradeLine(lineAddr);
-                extra += snoopCosts_.snoopData;
-                res.snoopData = true;
-                ++*self.snoopDatas;
-                if (tracer_) {
-                    tracer_->instant(TraceCategory::Coherence,
-                                     "coh.snoop_data", node, 0,
-                                     lineAddr, otherId);
-                }
+            extra += snoopCosts_.snoopData;
+            res.snoopData = true;
+            ++*self.snoopDatas;
+            if (tracer_) {
+                tracer_->instant(TraceCategory::Coherence,
+                                 "coh.snoop_data", node, 0, lineAddr,
+                                 otherId);
             }
         }
     }
@@ -160,27 +158,27 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
     CacheHierarchy &hier = *nc.hier;
     Addr lineAddr = lineBase(addr);
     bool inst = type == AccessType::InstFetch;
+    AccessResult res;
+    // A store hit takes the line Modified. Upgrade: a line this node
+    // does not own exclusively needs every other holder invalidated.
+    auto storeHit = [&] {
+        Mesi prior = hier.setState(lineAddr, Mesi::Modified);
+        if (prior != Mesi::Modified && prior != Mesi::Exclusive)
+            res.latency += snoopOthers(node, type, lineAddr, res);
+    };
 
     // L1-hit fast path: loads and fetches need no coherence action
     // and no memory classification, and a store that already owns
     // the line Modified needs nothing either — return before any
     // cross-node structure is touched.
     if (SetAssocCache::Line *l1 = hier.probeL1(lineAddr, inst)) {
-        AccessResult res;
         res.level = HitLevel::L1;
         res.latency = nc.profile.l1;
-        if (type == AccessType::Store && l1->state != Mesi::Modified) {
-            Mesi state = hier.lineState(lineAddr);
-            if (state != Mesi::Modified && state != Mesi::Exclusive) {
-                // Upgrade: invalidate any other holder first.
-                res.latency += snoopOthers(node, type, lineAddr, res);
-            }
-            hier.setState(lineAddr, Mesi::Modified);
-        }
+        if (type == AccessType::Store && l1->state != Mesi::Modified)
+            storeHit();
         return res;
     }
 
-    AccessResult res;
     res.level = hier.lookupFromL2(lineAddr, inst);
 
     // A shared-LLC hit promotes the line into this node's private
@@ -193,14 +191,8 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
     if (res.level != HitLevel::Memory) {
         res.latency =
             nc.profile.levelLatency(static_cast<int>(res.level));
-        if (type == AccessType::Store) {
-            Mesi state = hier.lineState(lineAddr);
-            if (state != Mesi::Modified && state != Mesi::Exclusive) {
-                // Upgrade: invalidate any other holder first.
-                res.latency += snoopOthers(node, type, lineAddr, res);
-            }
-            hier.setState(lineAddr, Mesi::Modified);
-        }
+        if (type == AccessType::Store)
+            storeHit();
         return res;
     }
 
@@ -253,12 +245,11 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
                 auto otherId =
                     static_cast<NodeId>(std::countr_zero(cands));
                 cands &= cands - 1;
-                CacheHierarchy &other = *nodes_[otherId].hier;
-                if (!other.holds(victim))
+                Mesi prior = nodes_[otherId].hier->invalidateLine(victim);
+                if (prior == Mesi::Invalid)
                     continue; // false positive: no repair (aliasing)
-                bool d = other.invalidateLine(victim);
                 filter_.removeSharer(victim, otherId);
-                evicted(otherId, victim, d);
+                evicted(otherId, victim, prior == Mesi::Modified);
                 res.latency += snoopCosts_.backInvalidate;
                 ++*nc.backInvalidates;
             }

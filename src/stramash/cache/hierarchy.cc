@@ -1,5 +1,7 @@
 #include "stramash/cache/hierarchy.hh"
 
+#include <algorithm>
+
 #include "stramash/common/units.hh"
 
 namespace stramash
@@ -19,13 +21,6 @@ HierarchyGeometry::paperDefault(Addr l3Size)
 CacheHierarchy::CacheHierarchy(NodeId node, const HierarchyGeometry &geom,
                                StatGroup &stats)
     : node_(node),
-      l1i_(std::make_unique<SetAssocCache>(geom.l1i)),
-      l1d_(std::make_unique<SetAssocCache>(geom.l1d)),
-      l2_(std::make_unique<SetAssocCache>(geom.l2)),
-      l3_(geom.l3.sizeBytes
-              ? std::make_unique<SetAssocCache>(geom.l3)
-              : nullptr),
-      stats_(stats),
       l1Hits_(stats.counter("l1_hits")),
       l1Accesses_(stats.counter("l1_accesses")),
       l2Hits_(stats.counter("l2_hits")),
@@ -33,26 +28,19 @@ CacheHierarchy::CacheHierarchy(NodeId node, const HierarchyGeometry &geom,
       l3Hits_(stats.counter("l3_hits")),
       l3Accesses_(stats.counter("l3_accesses"))
 {
+    for (const CacheGeometry *g : {&geom.l1i, &geom.l1d, &geom.l2})
+        levels_.push_back(std::make_unique<SetAssocCache>(*g));
+    if (geom.l3.sizeBytes)
+        levels_.push_back(std::make_unique<SetAssocCache>(geom.l3));
+    llc_ = levels_.back().get();
 }
 
-SetAssocCache *
-CacheHierarchy::lastLevel()
+void
+CacheHierarchy::attachSharedL3(SetAssocCache *shared)
 {
-    if (sharedL3_)
-        return sharedL3_;
-    if (l3_)
-        return l3_.get();
-    return l2_.get();
-}
-
-const SetAssocCache *
-CacheHierarchy::lastLevel() const
-{
-    if (sharedL3_)
-        return sharedL3_;
-    if (l3_)
-        return l3_.get();
-    return l2_.get();
+    panic_if(hasL3(), "node ", node_,
+             " has a private L3 and cannot attach a shared one");
+    llc_ = shared;
 }
 
 namespace
@@ -69,32 +57,50 @@ promoteInto(SetAssocCache &inner, SetAssocCache &outer, Addr lineAddr,
 {
     auto victim = inner.insert(lineAddr, state);
     if (victim && victim->dirty) {
-        if (auto *l = outer.peekMutable(victim->lineAddr))
+        if (auto *l = outer.find(victim->lineAddr))
             l->state = Mesi::Modified;
     }
 }
 
 } // namespace
 
+/**
+ * The one level walk: apply @p f to the line at each of the first
+ * @p n private levels that hold it. It is const so lineState() can
+ * share it; the levels are held by pointer, so @p f may change them.
+ * @return the strongest state seen before @p f ran.
+ */
+template <typename F>
+Mesi
+CacheHierarchy::walk(Addr lineAddr, std::size_t n, F &&f) const
+{
+    Mesi strongest = Mesi::Invalid;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (SetAssocCache::Line *l = levels_[i]->find(lineAddr)) {
+            strongest = std::max(strongest, l->state);
+            f(*l);
+        }
+    }
+    return strongest;
+}
+
 HitLevel
 CacheHierarchy::lookupFromL2(Addr lineAddr, bool instFetch)
 {
-    SetAssocCache &l1 = instFetch ? *l1i_ : *l1d_;
     ++l2Accesses_;
-    if (auto *line = l2_->probe(lineAddr)) {
+    if (auto *line = l2().probe(lineAddr)) {
         ++l2Hits_;
-        promoteInto(l1, *l2_, lineAddr, line->state);
+        promoteInto(l1(instFetch), l2(), lineAddr, line->state);
         return HitLevel::L2;
     }
-    SetAssocCache *llc = sharedL3_ ? sharedL3_ : l3_.get();
-    if (llc) {
-        ++l3Accesses_;
-        if (auto *line = llc->probe(lineAddr)) {
-            ++l3Hits_;
-            promoteInto(*l2_, *llc, lineAddr, line->state);
-            promoteInto(l1, *l2_, lineAddr, line->state);
-            return HitLevel::L3;
-        }
+    if (llc_ == &l2())
+        return HitLevel::Memory;
+    ++l3Accesses_;
+    if (auto *line = llc_->probe(lineAddr)) {
+        ++l3Hits_;
+        promoteInto(l2(), *llc_, lineAddr, line->state);
+        promoteInto(l1(instFetch), l2(), lineAddr, line->state);
+        return HitLevel::L3;
     }
     return HitLevel::Memory;
 }
@@ -104,99 +110,71 @@ CacheHierarchy::lineState(Addr lineAddr) const
 {
     // Inner levels can hold a more up-to-date (Modified) state than
     // the LLC under our simplified inclusion, so report the
-    // "strongest" state across levels.
-    Mesi strongest = Mesi::Invalid;
-    auto consider = [&](const SetAssocCache *c) {
-        if (!c)
-            return;
-        const auto *l = c->peek(lineAddr);
-        if (l && static_cast<int>(l->state) > static_cast<int>(strongest))
-            strongest = l->state;
-    };
-    consider(l1i_.get());
-    consider(l1d_.get());
-    consider(l2_.get());
-    consider(l3_.get());
-    // Deliberately not the shared L3: it is not private state.
-    return strongest;
+    // "strongest" state across levels. Deliberately not the shared
+    // L3: it is not private state.
+    return walk(lineAddr, levels_.size(), [](SetAssocCache::Line &) {});
 }
 
 bool
 CacheHierarchy::holds(Addr lineAddr) const
 {
-    // Inclusion makes the private last level a superset of the inner
+    // Inclusion makes a private last level a superset of the inner
     // levels (fills install outside-in, last-level victims
     // back-invalidate the inner copies), so a single probe answers
-    // the membership query. This is the query every cross-node snoop
-    // asks, so it must not walk all four arrays.
+    // the membership query.
     //
     // With a shared LLC there is no private superset level: the
     // shared L3 is not private state, and L2 victims do not
     // back-invalidate the L1s when the L2 is not the last level — so
-    // all three private levels must answer.
-    if (sharedL3_)
-        return l2_->holds(lineAddr) || l1i_->holds(lineAddr) ||
-               l1d_->holds(lineAddr);
-    return l3_ ? l3_->holds(lineAddr) : l2_->holds(lineAddr);
+    // all private levels must answer.
+    if (usesSharedL3())
+        return lineState(lineAddr) != Mesi::Invalid;
+    return llc_->holds(lineAddr);
 }
 
-void
+Mesi
 CacheHierarchy::setState(Addr lineAddr, Mesi state)
 {
-    auto apply = [&](SetAssocCache *c) {
-        if (!c)
-            return;
-        if (auto *l = c->peekMutable(lineAddr))
+    Mesi prior = walk(lineAddr, levels_.size(),
+                      [&](SetAssocCache::Line &l) { l.state = state; });
+    if (usesSharedL3()) {
+        if (auto *l = llc_->find(lineAddr))
             l->state = state;
-    };
-    apply(l1i_.get());
-    apply(l1d_.get());
-    apply(l2_.get());
-    apply(l3_.get());
-    apply(sharedL3_);
+    }
+    return prior;
 }
 
-bool
+Mesi
 CacheHierarchy::invalidateLine(Addr lineAddr)
 {
-    bool dirty = false;
-    dirty |= l1i_->invalidate(lineAddr) == Mesi::Modified;
-    dirty |= l1d_->invalidate(lineAddr) == Mesi::Modified;
-    dirty |= l2_->invalidate(lineAddr) == Mesi::Modified;
-    if (l3_)
-        dirty |= l3_->invalidate(lineAddr) == Mesi::Modified;
-    return dirty;
+    return walk(lineAddr, levels_.size(), [](SetAssocCache::Line &l) {
+        l.state = Mesi::Invalid;
+    });
 }
 
-bool
+Mesi
+CacheHierarchy::invalidateInner(Addr lineAddr)
+{
+    std::size_t inner = levels_.size() - (usesSharedL3() ? 0 : 1);
+    return walk(lineAddr, inner, [](SetAssocCache::Line &l) {
+        l.state = Mesi::Invalid;
+    });
+}
+
+Mesi
 CacheHierarchy::downgradeLine(Addr lineAddr)
 {
-    bool wasModified = false;
-    auto apply = [&](SetAssocCache *c) {
-        if (!c)
-            return;
-        if (auto *l = c->peekMutable(lineAddr)) {
-            if (l->state == Mesi::Modified)
-                wasModified = true;
-            if (l->state == Mesi::Modified || l->state == Mesi::Exclusive)
-                l->state = Mesi::Shared;
-        }
-    };
-    apply(l1i_.get());
-    apply(l1d_.get());
-    apply(l2_.get());
-    apply(l3_.get());
-    return wasModified;
+    return walk(lineAddr, levels_.size(), [](SetAssocCache::Line &l) {
+        if (l.state == Mesi::Modified || l.state == Mesi::Exclusive)
+            l.state = Mesi::Shared;
+    });
 }
 
 void
 CacheHierarchy::flushAll()
 {
-    l1i_->flushAll();
-    l1d_->flushAll();
-    l2_->flushAll();
-    if (l3_)
-        l3_->flushAll();
+    for (auto &level : levels_)
+        level->flushAll();
 }
 
 } // namespace stramash

@@ -15,9 +15,7 @@
 #define STRAMASH_CACHE_HIERARCHY_HH
 
 #include <memory>
-#include <optional>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "stramash/cache/cache.hh"
@@ -87,8 +85,7 @@ class CacheHierarchy
     probeL1(Addr lineAddr, bool instFetch)
     {
         ++l1Accesses_;
-        SetAssocCache::Line *l =
-            (instFetch ? *l1i_ : *l1d_).probe(lineAddr);
+        SetAssocCache::Line *l = l1(instFetch).probe(lineAddr);
         if (l)
             ++l1Hits_;
         return l;
@@ -100,10 +97,10 @@ class CacheHierarchy
      */
     HitLevel lookupFromL2(Addr lineAddr, bool instFetch);
 
-    /** State of the line as seen by this node (outermost level). */
+    /** State of the line as seen by this node (strongest level). */
     Mesi lineState(Addr lineAddr) const;
 
-    /** True if any level holds the line. */
+    /** True if any private level holds the line. */
     bool holds(Addr lineAddr) const;
 
     /**
@@ -117,10 +114,9 @@ class CacheHierarchy
      * cache but this node never privately held it", which the
      * coherence directory needs to keep its presence counts paired.
      *
-     * @p onEvict is any callable `(Addr, bool, bool)`, a
-     * std::function, a function pointer, or nullptr. Taking it as a
-     * template parameter keeps the per-fill cost at a direct
-     * (inlinable) call — the hot loop fills on every miss, and
+     * @p onEvict is any callable `(Addr, bool, bool)`, or nullptr.
+     * Taking it as a template parameter keeps the per-fill cost at a
+     * direct (inlinable) call — the hot loop fills on every miss, and
      * wrapping its capturing lambda in a std::function would
      * heap-allocate each time.
      */
@@ -128,112 +124,84 @@ class CacheHierarchy
     void
     fill(Addr lineAddr, Mesi state, bool instFetch, OnEvict &&onEvict)
     {
-        auto handleVictim = [&](std::optional<SetAssocCache::Victim> v,
-                                bool lastLevelCache) {
-            if (!v)
-                return;
-            if (lastLevelCache) {
-                // Maintain inclusion: the victim leaves the node.
-                Mesi i1 = l1i_->invalidate(v->lineAddr);
-                Mesi i2 = l1d_->invalidate(v->lineAddr);
-                Mesi i3 = l2_->invalidate(v->lineAddr);
-                bool dirtyInner = i1 == Mesi::Modified ||
-                                  i2 == Mesi::Modified ||
-                                  i3 == Mesi::Modified;
-                bool hadInner = i1 != Mesi::Invalid ||
-                                i2 != Mesi::Invalid ||
-                                i3 != Mesi::Invalid;
-                invokeEvict(onEvict, v->lineAddr,
-                            v->dirty || dirtyInner, hadInner);
+        // Fill outside-in so inclusion is never violated mid-fill. The
+        // LLC victim leaves the node, so its inner copies go too; a
+        // shared LLC victim may also be held by other nodes, which
+        // the domain's eviction hook handles.
+        if (auto v = llc_->insert(lineAddr, state)) {
+            Mesi inner = invalidateInner(v->lineAddr);
+            if constexpr (!std::is_null_pointer_v<
+                              std::decay_t<OnEvict>>) {
+                onEvict(v->lineAddr,
+                        v->dirty || inner == Mesi::Modified,
+                        inner != Mesi::Invalid);
             }
-        };
-
-        // Fill outside-in so inclusion is never violated mid-fill.
-        if (sharedL3_) {
-            // The shared LLC victim may be held by *both* nodes; the
-            // domain's eviction hook handles the other node.
-            handleVictim(sharedL3_->insert(lineAddr, state), true);
-            l2_->insert(lineAddr, state);
-        } else if (l3_) {
-            handleVictim(l3_->insert(lineAddr, state), true);
-            l2_->insert(lineAddr, state);
-        } else {
-            handleVictim(l2_->insert(lineAddr, state), true);
         }
-        if (instFetch)
-            l1i_->insert(lineAddr, state);
-        else
-            l1d_->insert(lineAddr, state);
+        if (llc_ != &l2())
+            l2().insert(lineAddr, state);
+        l1(instFetch).insert(lineAddr, state);
     }
 
-    /** Set the line's MESI state at every level holding it. */
-    void setState(Addr lineAddr, Mesi state);
+    /**
+     * Set the line's MESI state at every level holding it.
+     * @return the strongest prior private state.
+     */
+    Mesi setState(Addr lineAddr, Mesi state);
 
-    /** Invalidate the line everywhere. @return true if it was dirty. */
-    bool invalidateLine(Addr lineAddr);
+    /**
+     * Invalidate the line everywhere.
+     * @return the strongest prior state.
+     */
+    Mesi invalidateLine(Addr lineAddr);
 
-    /** Downgrade M/E to S (remote read snoop). @return true if was M. */
-    bool downgradeLine(Addr lineAddr);
+    /**
+     * Downgrade M/E to S (remote read snoop).
+     * @return the strongest prior state.
+     */
+    Mesi downgradeLine(Addr lineAddr);
 
     /** Invalidate the whole hierarchy. */
     void flushAll();
 
-    bool hasL3() const { return l3_ != nullptr; }
+    bool hasL3() const { return levels_.size() > 3; }
 
-    SetAssocCache &l1i() { return *l1i_; }
-    SetAssocCache &l1d() { return *l1d_; }
-    SetAssocCache &l2() { return *l2_; }
-    SetAssocCache *l3() { return l3_.get(); }
+    SetAssocCache &l1i() { return *levels_[0]; }
+    SetAssocCache &l1d() { return *levels_[1]; }
+    SetAssocCache &l2() { return *levels_[2]; }
+    SetAssocCache *l3() { return hasL3() ? levels_[3].get() : nullptr; }
 
     /**
      * Attach a shared last-level cache (FullyShared model). The
      * shared L3 is owned by the CoherenceDomain and shared between
-     * hierarchies.
+     * hierarchies; a node with one has no private L3.
      */
-    void attachSharedL3(SetAssocCache *shared) { sharedL3_ = shared; }
-    bool usesSharedL3() const { return sharedL3_ != nullptr; }
+    void attachSharedL3(SetAssocCache *shared);
+    bool usesSharedL3() const { return llc_ != levels_.back().get(); }
 
   private:
+    SetAssocCache &l1(bool instFetch) { return *levels_[instFetch ? 0 : 1]; }
+
     /**
-     * Dispatch the eviction report: callables are invoked directly;
-     * null-testable ones (std::function, function pointers) are
-     * skipped when empty; nullptr means "no observer".
+     * Invalidate the line in the private levels inside the LLC (all
+     * of them under a shared L3). @return the strongest prior state.
      */
+    Mesi invalidateInner(Addr lineAddr);
+
     template <typename F>
-    static void
-    invokeEvict(F &&f, Addr lineAddr, bool dirty, bool hadInner)
-    {
-        if constexpr (std::is_same_v<std::decay_t<F>,
-                                     std::nullptr_t>) {
-            (void)f;
-            (void)lineAddr;
-            (void)dirty;
-            (void)hadInner;
-        } else if constexpr (std::is_constructible_v<bool, F &>) {
-            if (f)
-                std::forward<F>(f)(lineAddr, dirty, hadInner);
-        } else {
-            std::forward<F>(f)(lineAddr, dirty, hadInner);
-        }
-    }
+    Mesi walk(Addr lineAddr, std::size_t n, F &&f) const;
 
     NodeId node_;
-    std::unique_ptr<SetAssocCache> l1i_;
-    std::unique_ptr<SetAssocCache> l1d_;
-    std::unique_ptr<SetAssocCache> l2_;
-    std::unique_ptr<SetAssocCache> l3_;
-    SetAssocCache *sharedL3_ = nullptr;
+    /** Private levels, innermost first: L1I, L1D, L2, optional L3. */
+    std::vector<std::unique_ptr<SetAssocCache>> levels_;
+    /** Last level: the shared L3, the private L3, or the L2. */
+    SetAssocCache *llc_;
 
-    StatGroup &stats_;
     Counter &l1Hits_;
     Counter &l1Accesses_;
     Counter &l2Hits_;
     Counter &l2Accesses_;
     Counter &l3Hits_;
     Counter &l3Accesses_;
-
-    SetAssocCache *lastLevel();
-    const SetAssocCache *lastLevel() const;
 };
 
 } // namespace stramash

@@ -80,7 +80,6 @@ Machine::Machine(const MachineConfig &cfg)
     CacheGeometry sharedGeom{cfg_.l3Size, 16};
     domain_ = std::make_unique<CoherenceDomain>(
         map_, cfg_.snoopCosts, sharedLlc ? &sharedGeom : nullptr);
-    domain_->setBroadcastMode(!cfg_.snoopFilterEnabled);
 
     for (const auto &nc : cfg_.nodes) {
         auto geom = HierarchyGeometry::paperDefault(cfg_.l3Size);

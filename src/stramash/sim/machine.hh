@@ -50,11 +50,6 @@ struct MachineConfig
      *  flat latency — used by functional-only runs like the kv-store
      *  experiment, where the paper also disables the Cache plugin. */
     bool cachePluginEnabled = true;
-    /** Use the sharer-presence snoop filter in the coherence domain
-     *  (directory-filtered probing). Disabling it falls back to
-     *  broadcast probing — simulated timing and statistics are
-     *  identical either way, only simulator speed changes. */
-    bool snoopFilterEnabled = true;
     /** Event-tracing knobs (stramash/trace). */
     TraceConfig trace{};
     /** Attach a fault-injection plan (stramash/fault). Absent =

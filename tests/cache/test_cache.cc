@@ -68,7 +68,7 @@ TEST(SetAssocCache, InsertExistingUpdatesState)
     c.insert(0x40, Mesi::Shared);
     auto victim = c.insert(0x40, Mesi::Modified);
     EXPECT_FALSE(victim.has_value());
-    EXPECT_EQ(c.peek(0x40)->state, Mesi::Modified);
+    EXPECT_EQ(c.find(0x40)->state, Mesi::Modified);
     EXPECT_EQ(c.validCount(), 1u);
 }
 
@@ -87,7 +87,7 @@ TEST(SetAssocCache, PeekDoesNotRefreshLru)
     c.insert(0x0, Mesi::Exclusive);
     c.insert(0x40, Mesi::Exclusive);
     // Peek at line 0 (no LRU refresh): it stays LRU and is evicted.
-    EXPECT_NE(c.peek(0x0), nullptr);
+    EXPECT_NE(c.find(0x0), nullptr);
     auto victim = c.insert(0x80, Mesi::Exclusive);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->lineAddr, 0x0u);

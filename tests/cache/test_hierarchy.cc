@@ -3,6 +3,9 @@
 #include "stramash/cache/hierarchy.hh"
 #include "stramash/common/units.hh"
 
+#include <utility>
+#include <vector>
+
 using namespace stramash;
 
 namespace
@@ -110,10 +113,15 @@ TEST(CacheHierarchy, StateQueriesAndTransitions)
     EXPECT_EQ(h.lineState(0x4000), Mesi::Exclusive);
     h.setState(0x4000, Mesi::Modified);
     EXPECT_EQ(h.lineState(0x4000), Mesi::Modified);
-    EXPECT_TRUE(h.downgradeLine(0x4000)); // was Modified
+    EXPECT_EQ(h.downgradeLine(0x4000), Mesi::Modified);
     EXPECT_EQ(h.lineState(0x4000), Mesi::Shared);
-    EXPECT_FALSE(h.downgradeLine(0x4000)); // already Shared
-    EXPECT_FALSE(h.invalidateLine(0x4000)); // Shared, not dirty
+    EXPECT_EQ(h.downgradeLine(0x4000), Mesi::Shared);
+    EXPECT_EQ(h.invalidateLine(0x4000), Mesi::Shared);
+    EXPECT_FALSE(h.holds(0x4000));
+    // A line no level holds reports Invalid to every transition.
+    EXPECT_EQ(h.downgradeLine(0x4000), Mesi::Invalid);
+    EXPECT_EQ(h.invalidateLine(0x4000), Mesi::Invalid);
+    EXPECT_EQ(h.setState(0x4000, Mesi::Modified), Mesi::Invalid);
     EXPECT_FALSE(h.holds(0x4000));
 }
 
@@ -122,7 +130,7 @@ TEST(CacheHierarchy, InvalidateDirtyLineReportsDirty)
     StatGroup stats("h");
     CacheHierarchy h(0, smallGeom(), stats);
     h.fill(0x5000, Mesi::Modified, false, nullptr);
-    EXPECT_TRUE(h.invalidateLine(0x5000));
+    EXPECT_EQ(h.invalidateLine(0x5000), Mesi::Modified);
 }
 
 TEST(CacheHierarchy, NoL3Works)
@@ -146,4 +154,56 @@ TEST(CacheHierarchy, FlushAllEmptiesEverything)
     h.flushAll();
     for (Addr a = 0; a < 16 * 64; a += 64)
         EXPECT_FALSE(h.holds(a));
+}
+
+TEST(CacheHierarchy, SharedL3KeepsL1OnlyCopiesVisible)
+{
+    // With a shared L3 the L2 is not the last level, so an L2 victim
+    // does not back-invalidate the L1s: a line can live in L1 alone.
+    StatGroup stats("h");
+    HierarchyGeometry g = smallGeom();
+    g.l2 = {1_KiB, 1}; // 16 sets, direct-mapped: easy conflicts
+    g.l3.sizeBytes = 0;
+    CacheHierarchy h(0, g, stats);
+    SetAssocCache shared({64_KiB, 16}); // 64 sets, 4 KiB stride
+    h.attachSharedL3(&shared);
+    ASSERT_TRUE(h.usesSharedL3());
+    EXPECT_FALSE(h.hasL3());
+
+    std::vector<std::pair<Addr, bool>> evicted; // (line, hadInner)
+    auto onEvict = [&](Addr a, bool dirty, bool hadInner) {
+        EXPECT_EQ(dirty, hadInner) << "line 0x" << std::hex << a;
+        evicted.emplace_back(a, hadInner);
+    };
+    // 0x0 and 1 KiB share the direct-mapped L2 set, but the 2-way
+    // L1D keeps both.
+    h.fill(0x0, Mesi::Modified, false, onEvict);
+    h.fill(1_KiB, Mesi::Exclusive, false, onEvict);
+    EXPECT_TRUE(evicted.empty());
+    EXPECT_FALSE(h.l2().holds(0x0));
+    ASSERT_TRUE(h.l1d().holds(0x0));
+    EXPECT_TRUE(h.holds(0x0));
+    EXPECT_EQ(h.lineState(0x0), Mesi::Modified);
+
+    // Push 0x0 out of the shared L3 with instruction fetches, which
+    // leave the L1D alone: its L1-only copy is back-invalidated and
+    // reported as an inner, dirty copy.
+    for (int i = 1; i <= 16; ++i)
+        h.fill(i * 4_KiB, Mesi::Exclusive, true, onEvict);
+    ASSERT_EQ(evicted.size(), 1u);
+    EXPECT_EQ(evicted[0], std::make_pair(Addr{0x0}, true));
+    EXPECT_FALSE(h.holds(0x0));
+
+    // A line in the shared L3 and in no private level (its private
+    // copies were snooped away) leaves without an inner copy.
+    Addr y = 64; // shared-L3 set 1
+    h.fill(y, Mesi::Exclusive, false, onEvict);
+    EXPECT_EQ(h.invalidateLine(y), Mesi::Exclusive);
+    EXPECT_FALSE(h.holds(y));
+    EXPECT_TRUE(shared.holds(y)); // the shared L3 is not private
+    for (int i = 1; i <= 16; ++i)
+        h.fill(y + i * 4_KiB, Mesi::Exclusive, true, onEvict);
+    ASSERT_EQ(evicted.size(), 2u);
+    EXPECT_EQ(evicted[1], std::make_pair(y, false));
+    EXPECT_FALSE(shared.holds(y));
 }

@@ -24,12 +24,19 @@ struct Scenario
     std::uint64_t seed;
 };
 
+// Without this gtest prints the scenario as raw bytes, uninitialised
+// padding included, and those bytes end up in the ctest test names.
+void
+PrintTo(const Scenario &sc, std::ostream *os)
+{
+    *os << osDesignName(sc.design) << "_" << memoryModelName(sc.model)
+        << "_s" << sc.seed;
+}
+
 std::string
 scenarioName(const testing::TestParamInfo<Scenario> &info)
 {
-    return std::string(osDesignName(info.param.design)) + "_" +
-           memoryModelName(info.param.model) + "_s" +
-           std::to_string(info.param.seed);
+    return testing::PrintToString(info.param);
 }
 
 } // namespace
