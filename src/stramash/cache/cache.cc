@@ -50,20 +50,23 @@ SetAssocCache::scan(Addr addr, std::size_t *victim) const
 {
     std::size_t first = ((addr >> lineShift_) & setMask_) * geom_.ways;
     Addr tag = addr >> lineShift_; // the full line number
-    if (victim)
-        *victim = first;
+    // Replacement choice: the first invalid way (age 0), else the
+    // least recently used one. Keeping the pick's age in a register
+    // leaves no load on the loop-carried path.
+    std::size_t pick = first;
+    std::uint64_t pickAge = UINT64_MAX;
     for (std::size_t i = first; i < first + geom_.ways; ++i) {
         const Line &l = lines_[i];
         if (l.valid() && l.tag == tag)
             return i;
-        // Replacement choice: the first invalid way, else the least
-        // recently used one.
-        if (victim) {
-            const Line &v = lines_[*victim];
-            if (v.valid() && (!l.valid() || l.lru < v.lru))
-                *victim = i;
+        std::uint64_t age = l.valid() ? l.lru + 1 : 0;
+        if (age < pickAge) {
+            pick = i;
+            pickAge = age;
         }
     }
+    if (victim)
+        *victim = pick;
     return miss;
 }
 

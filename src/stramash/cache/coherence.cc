@@ -158,10 +158,9 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
     CacheHierarchy &hier = *nc.hier;
     Addr lineAddr = lineBase(addr);
     bool inst = type == AccessType::InstFetch;
-    AccessResult res;
     // A store hit takes the line Modified. Upgrade: a line this node
     // does not own exclusively needs every other holder invalidated.
-    auto storeHit = [&] {
+    auto storeHit = [&](AccessResult &res) {
         Mesi prior = hier.setState(lineAddr, Mesi::Modified);
         if (prior != Mesi::Modified && prior != Mesi::Exclusive)
             res.latency += snoopOthers(node, type, lineAddr, res);
@@ -172,13 +171,15 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
     // the line Modified needs nothing either — return before any
     // cross-node structure is touched.
     if (SetAssocCache::Line *l1 = hier.probeL1(lineAddr, inst)) {
+        AccessResult res;
         res.level = HitLevel::L1;
         res.latency = nc.profile.l1;
         if (type == AccessType::Store && l1->state != Mesi::Modified)
-            storeHit();
+            storeHit(res);
         return res;
     }
 
+    AccessResult res;
     res.level = hier.lookupFromL2(lineAddr, inst);
 
     // A shared-LLC hit promotes the line into this node's private
@@ -192,7 +193,7 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
         res.latency =
             nc.profile.levelLatency(static_cast<int>(res.level));
         if (type == AccessType::Store)
-            storeHit();
+            storeHit(res);
         return res;
     }
 

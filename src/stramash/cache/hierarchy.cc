@@ -29,18 +29,10 @@ CacheHierarchy::CacheHierarchy(NodeId node, const HierarchyGeometry &geom,
       l3Accesses_(stats.counter("l3_accesses"))
 {
     for (const CacheGeometry *g : {&geom.l1i, &geom.l1d, &geom.l2})
-        levels_.push_back(std::make_unique<SetAssocCache>(*g));
+        levels_[numLevels_++] = std::make_unique<SetAssocCache>(*g);
     if (geom.l3.sizeBytes)
-        levels_.push_back(std::make_unique<SetAssocCache>(geom.l3));
-    llc_ = levels_.back().get();
-}
-
-void
-CacheHierarchy::attachSharedL3(SetAssocCache *shared)
-{
-    panic_if(hasL3(), "node ", node_,
-             " has a private L3 and cannot attach a shared one");
-    llc_ = shared;
+        levels_[numLevels_++] = std::make_unique<SetAssocCache>(geom.l3);
+    llc_ = levels_[numLevels_ - 1].get();
 }
 
 namespace
@@ -112,7 +104,7 @@ CacheHierarchy::lineState(Addr lineAddr) const
     // the LLC under our simplified inclusion, so report the
     // "strongest" state across levels. Deliberately not the shared
     // L3: it is not private state.
-    return walk(lineAddr, levels_.size(), [](SetAssocCache::Line &) {});
+    return walk(lineAddr, numLevels_, [](SetAssocCache::Line &) {});
 }
 
 bool
@@ -135,7 +127,7 @@ CacheHierarchy::holds(Addr lineAddr) const
 Mesi
 CacheHierarchy::setState(Addr lineAddr, Mesi state)
 {
-    Mesi prior = walk(lineAddr, levels_.size(),
+    Mesi prior = walk(lineAddr, numLevels_,
                       [&](SetAssocCache::Line &l) { l.state = state; });
     if (usesSharedL3()) {
         if (auto *l = llc_->find(lineAddr))
@@ -147,7 +139,7 @@ CacheHierarchy::setState(Addr lineAddr, Mesi state)
 Mesi
 CacheHierarchy::invalidateLine(Addr lineAddr)
 {
-    return walk(lineAddr, levels_.size(), [](SetAssocCache::Line &l) {
+    return walk(lineAddr, numLevels_, [](SetAssocCache::Line &l) {
         l.state = Mesi::Invalid;
     });
 }
@@ -155,7 +147,7 @@ CacheHierarchy::invalidateLine(Addr lineAddr)
 Mesi
 CacheHierarchy::invalidateInner(Addr lineAddr)
 {
-    std::size_t inner = levels_.size() - (usesSharedL3() ? 0 : 1);
+    std::size_t inner = numLevels_ - (usesSharedL3() ? 0 : 1);
     return walk(lineAddr, inner, [](SetAssocCache::Line &l) {
         l.state = Mesi::Invalid;
     });
@@ -164,7 +156,7 @@ CacheHierarchy::invalidateInner(Addr lineAddr)
 Mesi
 CacheHierarchy::downgradeLine(Addr lineAddr)
 {
-    return walk(lineAddr, levels_.size(), [](SetAssocCache::Line &l) {
+    return walk(lineAddr, numLevels_, [](SetAssocCache::Line &l) {
         if (l.state == Mesi::Modified || l.state == Mesi::Exclusive)
             l.state = Mesi::Shared;
     });
@@ -173,8 +165,8 @@ CacheHierarchy::downgradeLine(Addr lineAddr)
 void
 CacheHierarchy::flushAll()
 {
-    for (auto &level : levels_)
-        level->flushAll();
+    for (std::size_t i = 0; i < numLevels_; ++i)
+        levels_[i]->flushAll();
 }
 
 } // namespace stramash

@@ -14,9 +14,9 @@
 #ifndef STRAMASH_CACHE_HIERARCHY_HH
 #define STRAMASH_CACHE_HIERARCHY_HH
 
+#include <array>
 #include <memory>
 #include <type_traits>
-#include <vector>
 
 #include "stramash/cache/cache.hh"
 #include "stramash/common/stats.hh"
@@ -163,7 +163,7 @@ class CacheHierarchy
     /** Invalidate the whole hierarchy. */
     void flushAll();
 
-    bool hasL3() const { return levels_.size() > 3; }
+    bool hasL3() const { return numLevels_ > 3; }
 
     SetAssocCache &l1i() { return *levels_[0]; }
     SetAssocCache &l1d() { return *levels_[1]; }
@@ -173,10 +173,14 @@ class CacheHierarchy
     /**
      * Attach a shared last-level cache (FullyShared model). The
      * shared L3 is owned by the CoherenceDomain and shared between
-     * hierarchies; a node with one has no private L3.
+     * hierarchies.
      */
-    void attachSharedL3(SetAssocCache *shared);
-    bool usesSharedL3() const { return llc_ != levels_.back().get(); }
+    void attachSharedL3(SetAssocCache *shared) { llc_ = shared; }
+    bool
+    usesSharedL3() const
+    {
+        return llc_ != levels_[numLevels_ - 1].get();
+    }
 
   private:
     SetAssocCache &l1(bool instFetch) { return *levels_[instFetch ? 0 : 1]; }
@@ -192,7 +196,8 @@ class CacheHierarchy
 
     NodeId node_;
     /** Private levels, innermost first: L1I, L1D, L2, optional L3. */
-    std::vector<std::unique_ptr<SetAssocCache>> levels_;
+    std::array<std::unique_ptr<SetAssocCache>, 4> levels_;
+    std::size_t numLevels_ = 0;
     /** Last level: the shared L3, the private L3, or the L2. */
     SetAssocCache *llc_;
 

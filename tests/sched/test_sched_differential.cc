@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -83,8 +85,10 @@ captureMachine(System &sys, Fingerprint &fp)
 std::string
 slurpStatsJson(System &sys, const std::string &tag)
 {
-    std::string path =
-        testing::TempDir() + "sched_diff_" + tag + ".json";
+    // The pid keeps parallel ctest processes (one per design) from
+    // sharing a file.
+    std::string path = testing::TempDir() + "sched_diff_" +
+                       std::to_string(::getpid()) + "_" + tag + ".json";
     EXPECT_TRUE(sys.writeStatsJson(path));
     std::ifstream in(path);
     std::stringstream ss;
