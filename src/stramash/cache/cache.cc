@@ -44,8 +44,10 @@ SetAssocCache::SetAssocCache(const CacheGeometry &geom) : geom_(geom)
 /**
  * The one tag scan: the index in lines_ of the valid line holding
  * @p addr, or `miss`. A non-null @p victim gets the way to replace.
+ * Declared inline so -O2 builds expand it into each caller, where
+ * the victim work folds away for lookups, instead of calling it.
  */
-std::size_t
+inline std::size_t
 SetAssocCache::scan(Addr addr, std::size_t *victim) const
 {
     std::size_t first = ((addr >> lineShift_) & setMask_) * geom_.ways;
@@ -73,10 +75,11 @@ SetAssocCache::scan(Addr addr, std::size_t *victim) const
 SetAssocCache::Line *
 SetAssocCache::probe(Addr addr)
 {
-    Line *l = find(addr);
-    if (l)
-        l->lru = ++tick_;
-    return l;
+    std::size_t i = scan(addr);
+    if (i == miss)
+        return nullptr;
+    lines_[i].lru = ++tick_;
+    return &lines_[i];
 }
 
 SetAssocCache::Line *
@@ -97,7 +100,7 @@ std::optional<SetAssocCache::Victim>
 SetAssocCache::insert(Addr addr, Mesi state)
 {
     panic_if(state == Mesi::Invalid, "inserting an Invalid line");
-    std::size_t way;
+    std::size_t way = 0;
     std::size_t hit = scan(addr, &way);
     // Reuse the line if already present (state change).
     Line &l = lines_[hit == miss ? way : hit];
