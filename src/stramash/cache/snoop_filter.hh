@@ -12,7 +12,7 @@
  *
  * Correctness invariant: the reported sharer set is a *superset* of
  * the nodes actually holding the line. A false positive only costs an
- * extra probe (the prober still checks holds()); a false negative
+ * extra probe (the probed hierarchy reports Invalid); a false negative
  * would suppress a required snoop and silently corrupt the
  * simulation.
  *
