@@ -54,6 +54,12 @@ promoteInto(SetAssocCache &inner, SetAssocCache &outer, Addr lineAddr,
     }
 }
 
+void
+drop(SetAssocCache::Line &l)
+{
+    l.state = Mesi::Invalid;
+}
+
 } // namespace
 
 /**
@@ -139,18 +145,14 @@ CacheHierarchy::setState(Addr lineAddr, Mesi state)
 Mesi
 CacheHierarchy::invalidateLine(Addr lineAddr)
 {
-    return walk(lineAddr, numLevels_, [](SetAssocCache::Line &l) {
-        l.state = Mesi::Invalid;
-    });
+    return walk(lineAddr, numLevels_, drop);
 }
 
 Mesi
 CacheHierarchy::invalidateInner(Addr lineAddr)
 {
     std::size_t inner = numLevels_ - (usesSharedL3() ? 0 : 1);
-    return walk(lineAddr, inner, [](SetAssocCache::Line &l) {
-        l.state = Mesi::Invalid;
-    });
+    return walk(lineAddr, inner, drop);
 }
 
 Mesi
