@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "stramash/common/units.hh"
+#include "stramash/mem/topology.hh"
 #include "stramash/msg/transport.hh"
 
 using namespace stramash;
@@ -187,6 +188,40 @@ TEST(ShmTransport, TcpSlowerThanShmForSameTraffic)
         tcp.tryReceive(1);
     }
     EXPECT_LT(m1.totalRuntime(), m2.totalRuntime());
+}
+
+TEST(ShmTransport, ReceivePollsSendersInAscendingOrder)
+{
+    // One ring per ordered pair; a receive polls the rings into the
+    // node by ascending sender, so node 0 hears node 1 before node 3
+    // whatever order they sent in. The charged cycles pin the exact
+    // sequence of ring loads and stores that receive walk performs.
+    Machine m(MachineConfig::fromTopology(
+        TopologySpec::alternating(4, MemoryModel::Shared)));
+    ShmMessageLayer layer(m, ShmMessageLayer::areaBaseFor(m.physMap()),
+                          ShmMessageLayer::paperAreaBytes, true);
+    Message late = mkMsg(MsgType::FutexWait, 3, 0);
+    late.arg0 = 3;
+    Message early = mkMsg(MsgType::FutexWake, 1, 0);
+    early.arg0 = 1;
+    early.payload.resize(256, 0x5a);
+    layer.send(late);
+    layer.send(early);
+
+    Cycles before = m.node(0).cycles();
+    auto first = layer.tryReceive(0);
+    auto second = layer.tryReceive(0);
+    EXPECT_FALSE(layer.tryReceive(0).has_value());
+    Cycles cost = m.node(0).cycles() - before;
+
+    ASSERT_TRUE(first.has_value());
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(first->from, 1u);
+    EXPECT_EQ(first->arg0, 1u);
+    EXPECT_EQ(first->payload.size(), 256u);
+    EXPECT_EQ(second->from, 3u);
+    EXPECT_EQ(second->arg0, 3u);
+    EXPECT_EQ(cost, 36660u);
 }
 
 TEST(TransportDeath, MessageToSelfPanics)
