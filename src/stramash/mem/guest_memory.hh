@@ -8,6 +8,12 @@
  * allocated sparsely in 4 KiB frames so an 8 GiB guest costs only what
  * it touches.
  *
+ * Frames hang off a radix directory keyed by frame number, with
+ * 512-entry levels like the page tables the simulator models: a
+ * lookup is four indexed loads, an untouched read allocates nothing,
+ * and each touched 2 MiB region costs one 4 KiB leaf. The four levels
+ * cover a 48-bit physical address space.
+ *
  * GuestMemory is purely functional storage — it has no timing. Timing
  * comes from the cache hierarchy and memory model in cache/ and mem/.
  */
@@ -20,7 +26,6 @@
 #include <cstring>
 #include <memory>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "stramash/common/logging.hh"
@@ -48,12 +53,11 @@ class GuestMemory
             std::size_t off = pageOffset(addr);
             std::size_t chunk =
                 std::min<std::size_t>(size, pageSize - off);
-            auto it = frames_.find(base);
-            if (it == frames_.end()) {
+            if (const Frame *f = find(base)) {
+                std::memcpy(out, f->data() + off, chunk);
+            } else {
                 // Untouched memory reads as zero.
                 std::memset(out, 0, chunk);
-            } else {
-                std::memcpy(out, it->second->data() + off, chunk);
             }
             out += chunk;
             addr += chunk;
@@ -107,9 +111,8 @@ class GuestMemory
             std::size_t off = pageOffset(addr);
             std::size_t chunk =
                 std::min<std::size_t>(size, pageSize - off);
-            auto it = frames_.find(base);
-            if (it != frames_.end())
-                std::memset(it->second->data() + off, 0, chunk);
+            if (Frame *f = find(base))
+                std::memset(f->data() + off, 0, chunk);
             addr += chunk;
             size -= chunk;
         }
@@ -125,24 +128,84 @@ class GuestMemory
     }
 
     /** Number of host frames materialised so far. */
-    std::size_t frameCount() const { return frames_.size(); }
+    std::size_t frameCount() const { return frameCount_; }
 
   private:
     using Frame = std::array<std::uint8_t, pageSize>;
 
-    Frame &
-    frame(Addr base)
+    static constexpr unsigned levelBits = 9;
+    static constexpr unsigned levels = 4;
+    /** Physical address bits the directory covers. */
+    static constexpr unsigned addrBits = pageShift + levels * levelBits;
+
+    /** One directory level: 512 child slots, like a page-table page. */
+    template <typename Child>
+    using Level = std::array<std::unique_ptr<Child>, 1u << levelBits>;
+    /** The frames of one 2 MiB region. */
+    using Leaf = Level<Frame>;
+    /** 1 GiB and 512 GiB regions; the root spans all 256 TiB. */
+    using Mid = Level<Leaf>;
+    using Upper = Level<Mid>;
+
+    /** Slot of @p addr at @p level (0 = leaf). */
+    static std::size_t
+    index(Addr addr, unsigned level)
     {
-        auto it = frames_.find(base);
-        if (it == frames_.end()) {
-            auto f = std::make_unique<Frame>();
-            f->fill(0);
-            it = frames_.emplace(base, std::move(f)).first;
-        }
-        return *it->second;
+        return (addr >> (pageShift + level * levelBits)) &
+               ((1u << levelBits) - 1);
     }
 
-    std::unordered_map<Addr, std::unique_ptr<Frame>> frames_;
+    static void
+    checkRange(Addr addr)
+    {
+        panic_if(addr >> addrBits, "guest address ", addr,
+                 " beyond the ", addrBits, "-bit physical space");
+    }
+
+    /** The frame holding @p addr, or nullptr if never written. */
+    Frame *
+    find(Addr addr) const
+    {
+        checkRange(addr);
+        const Upper *upper = root_[index(addr, 3)].get();
+        if (!upper)
+            return nullptr;
+        const Mid *mid = (*upper)[index(addr, 2)].get();
+        if (!mid)
+            return nullptr;
+        const Leaf *leaf = (*mid)[index(addr, 1)].get();
+        if (!leaf)
+            return nullptr;
+        return (*leaf)[index(addr, 0)].get();
+    }
+
+    template <typename Child>
+    static Child &
+    materialise(std::unique_ptr<Child> &slot)
+    {
+        if (!slot)
+            slot = std::make_unique<Child>();
+        return *slot;
+    }
+
+    /** The frame holding @p addr, allocated zeroed on first touch. */
+    Frame &
+    frame(Addr addr)
+    {
+        checkRange(addr);
+        Upper &upper = materialise(root_[index(addr, 3)]);
+        Mid &mid = materialise(upper[index(addr, 2)]);
+        Leaf &leaf = materialise(mid[index(addr, 1)]);
+        std::unique_ptr<Frame> &slot = leaf[index(addr, 0)];
+        if (!slot) {
+            slot = std::make_unique<Frame>();
+            ++frameCount_;
+        }
+        return *slot;
+    }
+
+    Level<Upper> root_;
+    std::size_t frameCount_ = 0;
 };
 
 } // namespace stramash

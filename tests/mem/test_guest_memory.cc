@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "stramash/mem/guest_memory.hh"
+#include "stramash/mem/phys_map.hh"
+#include "stramash/mem/topology.hh"
 
 using namespace stramash;
 
@@ -87,4 +89,49 @@ TEST(GuestMemory, SparsenessAtScale)
     for (Addr a = 0; a < (Addr{8} << 30); a += Addr{64} << 20)
         mem.store<std::uint8_t>(a, 1);
     EXPECT_EQ(mem.frameCount(), 128u);
+}
+
+TEST(GuestMemory, WriteStraddlesDirectoryLeafBoundary)
+{
+    // One directory leaf maps 2 MiB; this write starts in the last
+    // frame of one leaf and ends in the first frame of the next.
+    GuestMemory mem;
+    Addr leafEnd = Addr{2} << 20;
+    std::vector<std::uint8_t> data(256);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i + 1);
+    mem.write(leafEnd - 100, data.data(), data.size());
+    std::vector<std::uint8_t> back(data.size());
+    mem.read(leafEnd - 100, back.data(), back.size());
+    EXPECT_EQ(back, data);
+    EXPECT_EQ(mem.load<std::uint8_t>(leafEnd - 1), 100u);
+    EXPECT_EQ(mem.load<std::uint8_t>(leafEnd), 101u);
+    EXPECT_EQ(mem.frameCount(), 2u);
+}
+
+TEST(GuestMemory, HighestPoolAddressOfEightNodeMachine)
+{
+    PhysMap map = PhysMap::generate(
+        TopologySpec::alternating(8, MemoryModel::Shared));
+    auto pools = map.poolRanges();
+    ASSERT_FALSE(pools.empty());
+    Addr last = pools.back().end - sizeof(std::uint64_t);
+    GuestMemory mem;
+    mem.store<std::uint64_t>(last, 0x0123456789abcdefULL);
+    EXPECT_EQ(mem.load<std::uint64_t>(last), 0x0123456789abcdefULL);
+    EXPECT_EQ(mem.load<std::uint64_t>(last - pageSize), 0u);
+    EXPECT_EQ(mem.frameCount(), 1u);
+}
+
+TEST(GuestMemory, FrameCountExactAfterRewrites)
+{
+    GuestMemory mem;
+    std::vector<std::uint8_t> page(pageSize, 0xab);
+    for (int round = 0; round < 3; ++round) {
+        for (Addr a = 0; a < 8 * pageSize; a += pageSize)
+            mem.write(a, page.data(), page.size());
+        mem.store<std::uint32_t>(Addr{5} << 30, 7);
+        mem.zero(0, 2 * pageSize);
+    }
+    EXPECT_EQ(mem.frameCount(), 9u);
 }
