@@ -41,14 +41,6 @@ MessageRing::MessageRing(Machine &machine, Addr base, Addr bytes)
     machine_.memory().store<std::uint64_t>(tailAddr(), 0);
 }
 
-std::size_t
-MessageRing::size() const
-{
-    auto head = machine_.memory().load<std::uint64_t>(headAddr());
-    auto tail = machine_.memory().load<std::uint64_t>(tailAddr());
-    return static_cast<std::size_t>(tail - head);
-}
-
 bool
 MessageRing::enqueue(NodeId producer, const Message &msg)
 {
@@ -59,13 +51,11 @@ MessageRing::enqueue(NodeId producer, const Message &msg)
     // Control words: load head and tail.
     machine_.dataAccess(producer, AccessType::Load, headAddr(), 8);
     machine_.dataAccess(producer, AccessType::Load, tailAddr(), 8);
-    auto head = mem.load<std::uint64_t>(headAddr());
-    auto tail = mem.load<std::uint64_t>(tailAddr());
-    if (tail - head >= numSlots_ - 1)
+    if (size() >= capacity())
         return false;
 
     // Serialise into the slot, charging the stores.
-    Addr slot = slotAddr(tail % numSlots_);
+    Addr slot = slotAddr(tail_ % numSlots_);
     WireHeader h{};
     h.type = static_cast<std::uint8_t>(msg.type);
     h.from = msg.from;
@@ -92,11 +82,8 @@ MessageRing::enqueue(NodeId producer, const Message &msg)
     }
 
     // Publish: bump tail.
-    mem.store<std::uint64_t>(tailAddr(), tail + 1);
+    mem.store<std::uint64_t>(tailAddr(), ++tail_);
     machine_.dataAccess(producer, AccessType::Store, tailAddr(), 8);
-    std::size_t depth = static_cast<std::size_t>(tail + 1 - head);
-    if (depth > highWatermark_)
-        highWatermark_ = depth;
     return true;
 }
 
@@ -107,12 +94,10 @@ MessageRing::dequeue(NodeId consumer)
 
     machine_.dataAccess(consumer, AccessType::Load, headAddr(), 8);
     machine_.dataAccess(consumer, AccessType::Load, tailAddr(), 8);
-    auto head = mem.load<std::uint64_t>(headAddr());
-    auto tail = mem.load<std::uint64_t>(tailAddr());
-    if (head == tail)
+    if (head_ == tail_)
         return std::nullopt;
 
-    Addr slot = slotAddr(head % numSlots_);
+    Addr slot = slotAddr(head_ % numSlots_);
     WireHeader h{};
     mem.read(slot, &h, sizeof(h));
     machine_.dataAccess(consumer, AccessType::Load, slot,
@@ -138,18 +123,9 @@ MessageRing::dequeue(NodeId consumer)
                               static_cast<unsigned>(h.payloadSize));
     }
 
-    mem.store<std::uint64_t>(headAddr(), head + 1);
+    mem.store<std::uint64_t>(headAddr(), ++head_);
     machine_.dataAccess(consumer, AccessType::Store, headAddr(), 8);
     return msg;
-}
-
-bool
-MessageRing::pollProbe(NodeId consumer)
-{
-    machine_.dataAccess(consumer, AccessType::Load, tailAddr(), 8);
-    auto head = machine_.memory().load<std::uint64_t>(headAddr());
-    auto tail = machine_.memory().load<std::uint64_t>(tailAddr());
-    return head != tail;
 }
 
 } // namespace stramash

@@ -27,6 +27,10 @@ namespace stramash
  * Fixed-slot SPSC ring in guest memory. Layout:
  *   [0,  8)  head (next slot to read), written by consumer
  *   [8, 16)  tail (next slot to write), written by producer
+ *
+ * Both control words are stored to guest memory whenever they change,
+ * and every load and store of them is charged; the host reads its own
+ * copies rather than loading the words back.
  *   [64, …)  slots of slotBytes each
  */
 class MessageRing
@@ -46,28 +50,11 @@ class MessageRing
     std::size_t capacity() const { return numSlots_ - 1; }
 
     /** Messages currently queued. */
-    std::size_t size() const;
-
-    // ---- occupancy / backpressure hooks (uncharged host reads) ----
-
-    /** Free slots before enqueue() starts failing. */
-    std::size_t freeSlots() const { return capacity() - size(); }
-
-    /** True when the next enqueue() would be refused. */
-    bool full() const { return size() >= capacity(); }
-
-    /** Queued fraction of capacity, in [0, 1]. */
-    double
-    occupancy() const
+    std::size_t
+    size() const
     {
-        return static_cast<double>(size()) /
-               static_cast<double>(capacity());
+        return static_cast<std::size_t>(tail_ - head_);
     }
-
-    /** Deepest the ring has ever been (post-enqueue depth). An
-     *  admission controller consults this to size its shed
-     *  threshold; reset only by recreating the ring. */
-    std::size_t highWatermark() const { return highWatermark_; }
 
     /**
      * Enqueue, charging the producing node the control-word and slot
@@ -82,19 +69,16 @@ class MessageRing
      */
     std::optional<Message> dequeue(NodeId consumer);
 
-    /**
-     * Charge one polling probe (a head/tail load) without consuming.
-     * @return true if a message is available.
-     */
-    bool pollProbe(NodeId consumer);
-
     Addr base() const { return base_; }
 
   private:
     Machine &machine_;
     Addr base_;
     std::size_t numSlots_;
-    std::size_t highWatermark_ = 0;
+    /** Host copies of the control words; the ring is their only
+     *  writer, so they always match guest memory. */
+    std::uint64_t head_ = 0;
+    std::uint64_t tail_ = 0;
 
     Addr headAddr() const { return base_; }
     Addr tailAddr() const { return base_ + 8; }

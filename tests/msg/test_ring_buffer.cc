@@ -43,7 +43,6 @@ TEST_F(RingTest, EmptyDequeueReturnsNothing)
 {
     EXPECT_FALSE(ring_.dequeue(1).has_value());
     EXPECT_EQ(ring_.size(), 0u);
-    EXPECT_FALSE(ring_.pollProbe(1));
 }
 
 TEST_F(RingTest, RoundTripPreservesEverything)
@@ -52,7 +51,6 @@ TEST_F(RingTest, RoundTripPreservesEverything)
     in.seq = 77;
     ASSERT_TRUE(ring_.enqueue(0, in));
     EXPECT_EQ(ring_.size(), 1u);
-    EXPECT_TRUE(ring_.pollProbe(1));
     auto out = ring_.dequeue(1);
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(out->type, in.type);
@@ -102,6 +100,27 @@ TEST_F(RingTest, WrapAroundWorks)
         ASSERT_TRUE(out.has_value());
         ASSERT_EQ(out->arg0, i);
     }
+}
+
+TEST_F(RingTest, ControlWordsInGuestMemoryTrackTheRing)
+{
+    // The ring reads its own copies of head and tail; the words it
+    // stores to guest memory must stay equal to them past several
+    // wrap-arounds.
+    std::size_t total = ring_.capacity() * 3 + 5;
+    for (std::size_t i = 0; i < total; ++i) {
+        ASSERT_TRUE(ring_.enqueue(0, makeMsg(MsgType::TaskMigrate)));
+        ASSERT_TRUE(ring_.dequeue(1).has_value());
+    }
+    ASSERT_TRUE(ring_.enqueue(0, makeMsg(MsgType::TaskMigrate)));
+    ASSERT_TRUE(ring_.enqueue(0, makeMsg(MsgType::TaskMigrate)));
+
+    GuestMemory &mem = machine_.memory();
+    auto head = mem.load<std::uint64_t>(ring_.base());
+    auto tail = mem.load<std::uint64_t>(ring_.base() + 8);
+    EXPECT_EQ(head, total);
+    EXPECT_EQ(tail, total + 2);
+    EXPECT_EQ(tail - head, ring_.size());
 }
 
 TEST_F(RingTest, FullRingRejectsEnqueue)
@@ -161,16 +180,12 @@ TEST(RingDeath, TinyAreaPanics)
     EXPECT_DEATH(MessageRing(m, 1_GiB, 128), "too small");
 }
 
-TEST(RingOccupancy, HooksTrackDepthAndHighWatermark)
+TEST(RingOccupancy, SizeTracksDepth)
 {
     Machine m(MachineConfig::paperPair(MemoryModel::Shared));
     MessageRing ring(m, 4_GiB, 1_MiB);
 
     EXPECT_EQ(ring.size(), 0u);
-    EXPECT_EQ(ring.freeSlots(), ring.capacity());
-    EXPECT_FALSE(ring.full());
-    EXPECT_DOUBLE_EQ(ring.occupancy(), 0.0);
-    EXPECT_EQ(ring.highWatermark(), 0u);
 
     Message msg;
     msg.type = MsgType::TaskMigrate;
@@ -179,16 +194,12 @@ TEST(RingOccupancy, HooksTrackDepthAndHighWatermark)
     ASSERT_TRUE(ring.enqueue(0, msg));
     ASSERT_TRUE(ring.enqueue(0, msg));
     EXPECT_EQ(ring.size(), 2u);
-    EXPECT_EQ(ring.freeSlots(), ring.capacity() - 2);
-    EXPECT_EQ(ring.highWatermark(), 2u);
 
-    // Draining lowers occupancy but never the high-watermark.
     ring.dequeue(1);
     ring.dequeue(1);
     EXPECT_EQ(ring.size(), 0u);
-    EXPECT_EQ(ring.highWatermark(), 2u);
     ASSERT_TRUE(ring.enqueue(0, msg));
-    EXPECT_EQ(ring.highWatermark(), 2u);
+    EXPECT_EQ(ring.size(), 1u);
 }
 
 TEST(RingOccupancy, FullRingReportsFullAndRefuses)
@@ -201,10 +212,8 @@ TEST(RingOccupancy, FullRingReportsFullAndRefuses)
     msg.type = MsgType::TaskMigrate;
     msg.from = 0;
     msg.to = 1;
-    while (!ring.full())
+    for (std::size_t i = 0; i < ring.capacity(); ++i)
         ASSERT_TRUE(ring.enqueue(0, msg));
-    EXPECT_EQ(ring.freeSlots(), 0u);
-    EXPECT_DOUBLE_EQ(ring.occupancy(), 1.0);
+    EXPECT_EQ(ring.size(), ring.capacity());
     EXPECT_FALSE(ring.enqueue(0, msg));
-    EXPECT_EQ(ring.highWatermark(), ring.capacity());
 }
