@@ -74,11 +74,19 @@ MessageLayer::send(const Message &msg)
     }
     ++sent_;
     bytes_ += m.wireSize();
-    stats_.counter("sent_total") += 1;
-    stats_.counter(std::string("sent.") + msgTypeName(m.type)) += 1;
-    stats_.counter("bytes_sent") += m.wireSize();
-    stats_.histogram("wire_bytes", {64, 256, 1024, 4096})
-        .sample(m.wireSize());
+    if (!sentTotal_) {
+        sentTotal_ = &stats_.counter("sent_total");
+        bytesSent_ = &stats_.counter("bytes_sent");
+        wireBytes_ = &stats_.histogram("wire_bytes", {64, 256, 1024, 4096});
+    }
+    Counter *&sentType = sentByType_[static_cast<unsigned>(m.type)];
+    if (!sentType)
+        sentType = &stats_.counter(std::string("sent.") +
+                                   msgTypeName(m.type));
+    *sentTotal_ += 1;
+    *sentType += 1;
+    *bytesSent_ += m.wireSize();
+    wireBytes_->sample(m.wireSize());
     // The span covers the sender-side transport costs (ring stores /
     // stack copy); the event name is the message type so Perfetto
     // tracks read as a protocol timeline.
@@ -432,21 +440,20 @@ MessageLayer::resetCounters()
 ShmMessageLayer::ShmMessageLayer(Machine &machine, Addr areaBase,
                                  Addr areaBytes, bool useIpi,
                                  MsgCosts costs)
-    : MessageLayer(machine), useIpi_(useIpi), costs_(costs)
+    : MessageLayer(machine), useIpi_(useIpi), costs_(costs),
+      nodes_(machine.nodeCount()), rings_(nodes_ * nodes_)
 {
     // One ring per ordered node pair, splitting the area evenly.
-    std::size_t n = machine.nodeCount();
-    std::size_t pairs = n * (n - 1);
+    std::size_t pairs = nodes_ * (nodes_ - 1);
     panic_if(pairs == 0, "SHM messaging needs >= 2 nodes");
     Addr perRing = areaBytes / pairs;
     Addr base = areaBase;
-    for (NodeId f = 0; f < n; ++f) {
-        for (NodeId t = 0; t < n; ++t) {
+    for (NodeId f = 0; f < nodes_; ++f) {
+        for (NodeId t = 0; t < nodes_; ++t) {
             if (f == t)
                 continue;
-            rings_.emplace(std::make_pair(f, t),
-                           std::make_unique<MessageRing>(machine, base,
-                                                         perRing));
+            rings_[f * nodes_ + t] =
+                std::make_unique<MessageRing>(machine, base, perRing);
             base += perRing;
         }
     }
@@ -491,33 +498,21 @@ ShmMessageLayer::areaBaseFor(const PhysMap &map, Addr areaBytes)
     return std::min(strip.start + 1_GiB, strip.end - areaBytes);
 }
 
-MessageRing &
-ShmMessageLayer::ring(NodeId from, NodeId to)
-{
-    auto it = rings_.find({from, to});
-    panic_if(it == rings_.end(), "no ring ", from, "->", to);
-    return *it->second;
-}
-
-double
-ShmMessageLayer::channelOccupancy(NodeId from, NodeId to) const
-{
-    auto it = rings_.find({from, to});
-    panic_if(it == rings_.end(), "no ring ", from, "->", to);
-    return it->second->occupancy();
-}
-
 Errc
 ShmMessageLayer::transportSend(const Message &msg)
 {
     machine_.stall(msg.from, costs_.sendSetupCycles);
-    MessageRing &r = ring(msg.from, msg.to);
+    panic_if(msg.from >= nodes_ || msg.to >= nodes_, "no ring ",
+             msg.from, "->", msg.to);
+    MessageRing &r = *rings_[msg.from * nodes_ + msg.to];
     if (!r.enqueue(msg.from, msg))
         return Errc::RingFull;
     // Post-enqueue depth: the queue-depth distribution an admission
     // controller needs to see to size its shed threshold.
-    stats_.histogram("ring_depth", {1, 2, 4, 8, 16, 32, 64, 128})
-        .sample(r.size());
+    if (!ringDepth_)
+        ringDepth_ = &stats_.histogram("ring_depth",
+                                       {1, 2, 4, 8, 16, 32, 64, 128});
+    ringDepth_->sample(r.size());
     if (useIpi_)
         machine_.sendIpi(msg.from, msg.to);
     return Errc::Ok;
@@ -526,11 +521,12 @@ ShmMessageLayer::transportSend(const Message &msg)
 std::optional<Message>
 ShmMessageLayer::transportReceive(NodeId node)
 {
-    // Check every ring that targets this node.
-    for (auto &kv : rings_) {
-        if (kv.first.second != node)
+    // Check every ring that targets this node, by ascending sender.
+    panic_if(node >= nodes_, "no rings into node ", node);
+    for (NodeId from = 0; from < nodes_; ++from) {
+        if (from == node)
             continue;
-        auto m = kv.second->dequeue(node);
+        auto m = rings_[from * nodes_ + node]->dequeue(node);
         if (m) {
             machine_.stall(node, costs_.handlerCycles);
             return m;

@@ -25,6 +25,7 @@
 #define STRAMASH_MSG_TRANSPORT_HH
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <functional>
 #include <map>
@@ -168,19 +169,6 @@ class MessageLayer
 
     StatGroup &stats() { return stats_; }
 
-    /**
-     * Occupancy of the @p from → @p to channel in [0, 1], for
-     * admission-control decisions (an open-loop front end sheds
-     * load *before* committing work when the transport is backed
-     * up). Transports without bounded channels report 0.
-     */
-    virtual double channelOccupancy(NodeId from, NodeId to) const
-    {
-        (void)from;
-        (void)to;
-        return 0.0;
-    }
-
     /** Total messages sent since construction (Table 3). */
     std::uint64_t messagesSent() const { return sent_; }
 
@@ -202,6 +190,12 @@ class MessageLayer
 
   private:
     std::map<NodeId, MsgHandler> handlers_;
+    /** Stat handles, each fetched the first time it counts, so a
+     *  stat appears in a dump exactly when it did by name. */
+    Counter *sentTotal_ = nullptr;
+    Counter *bytesSent_ = nullptr;
+    Histogram *wireBytes_ = nullptr;
+    std::array<Counter *, msgTypeCount> sentByType_{};
     std::uint64_t sent_ = 0;
     std::uint64_t bytes_ = 0;
     std::uint64_t seq_ = 0;
@@ -297,8 +291,6 @@ class ShmMessageLayer final : public MessageLayer
     static Addr areaBaseFor(const PhysMap &map,
                             Addr areaBytes = paperAreaBytes);
 
-    double channelOccupancy(NodeId from, NodeId to) const override;
-
   protected:
     Errc transportSend(const Message &msg) override;
     std::optional<Message> transportReceive(NodeId node) override;
@@ -306,11 +298,10 @@ class ShmMessageLayer final : public MessageLayer
   private:
     bool useIpi_;
     MsgCosts costs_;
-    /** (from, to) -> ring. */
-    std::map<std::pair<NodeId, NodeId>, std::unique_ptr<MessageRing>>
-        rings_;
-
-    MessageRing &ring(NodeId from, NodeId to);
+    std::size_t nodes_;
+    /** Ring from -> to at [from * nodes_ + to]; null on the diagonal. */
+    std::vector<std::unique_ptr<MessageRing>> rings_;
+    Histogram *ringDepth_ = nullptr;
 };
 
 /** Network (TCP/IP) transport model. */

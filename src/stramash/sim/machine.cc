@@ -93,6 +93,7 @@ Machine::Machine(const MachineConfig &cfg)
     for (auto &n : nodes_)
         byId_[n->id()] = n.get();
     ipisReceived_.assign(nodes_.size(), 0);
+    ipiStats_.assign(nodes_.size(), nullptr);
     links_.assign(nodes_.size() * nodes_.size(),
                   static_cast<std::uint8_t>(LinkState::Up));
     if (tracer_.enabled())
@@ -242,7 +243,10 @@ Machine::sendIpi(NodeId from, NodeId to)
     Cycles start = dst.cycles();
     dst.stall(lat);
     ++ipisReceived_[to];
-    dst.stats().counter("ipis_received") += 1;
+    Counter *&received = ipiStats_[to];
+    if (!received)
+        received = &dst.stats().counter("ipis_received");
+    *received += 1;
     tracer_.emit(TraceCategory::Ipi, "ipi.deliver", to, 0, start,
                  dst.cycles(), from, to);
     return lat;

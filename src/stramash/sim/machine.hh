@@ -282,6 +282,8 @@ class Machine
     /** Dense NodeId -> Node index (ids are validated dense). */
     std::vector<Node *> byId_;
     std::vector<std::uint64_t> ipisReceived_;
+    /** Each node's "ipis_received" stat, fetched on its first IPI. */
+    std::vector<Counter *> ipiStats_;
     Tracer tracer_;
     std::unique_ptr<FaultInjector> injector_;
     AccessTraceFn accessTrace_;
