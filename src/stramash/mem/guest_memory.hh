@@ -133,33 +133,24 @@ class GuestMemory
   private:
     using Frame = std::array<std::uint8_t, pageSize>;
 
-    static constexpr unsigned levelBits = 9;
-    static constexpr unsigned levels = 4;
-    /** Physical address bits the directory covers. */
-    static constexpr unsigned addrBits = pageShift + levels * levelBits;
-
-    /** One directory level: 512 child slots, like a page-table page. */
+    /** One directory level: 512 slots, like a page-table page. */
     template <typename Child>
-    using Level = std::array<std::unique_ptr<Child>, 1u << levelBits>;
+    using Level = std::array<std::unique_ptr<Child>, 512>;
     /** The frames of one 2 MiB region. */
     using Leaf = Level<Frame>;
-    /** 1 GiB and 512 GiB regions; the root spans all 256 TiB. */
-    using Mid = Level<Leaf>;
-    using Upper = Level<Mid>;
 
     /** Slot of @p addr at @p level (0 = leaf). */
     static std::size_t
     index(Addr addr, unsigned level)
     {
-        return (addr >> (pageShift + level * levelBits)) &
-               ((1u << levelBits) - 1);
+        return (addr >> (pageShift + 9 * level)) & 511;
     }
 
     static void
     checkRange(Addr addr)
     {
-        panic_if(addr >> addrBits, "guest address ", addr,
-                 " beyond the ", addrBits, "-bit physical space");
+        panic_if(addr >> (pageShift + 4 * 9), "guest address ", addr,
+                 " beyond the 48-bit physical space");
     }
 
     /** The frame holding @p addr, or nullptr if never written. */
@@ -167,24 +158,18 @@ class GuestMemory
     find(Addr addr) const
     {
         checkRange(addr);
-        const Upper *upper = root_[index(addr, 3)].get();
-        if (!upper)
-            return nullptr;
-        const Mid *mid = (*upper)[index(addr, 2)].get();
-        if (!mid)
-            return nullptr;
-        const Leaf *leaf = (*mid)[index(addr, 1)].get();
-        if (!leaf)
-            return nullptr;
-        return (*leaf)[index(addr, 0)].get();
+        const auto *upper = root_[index(addr, 3)].get();
+        const auto *mid = upper ? (*upper)[index(addr, 2)].get() : nullptr;
+        const Leaf *leaf = mid ? (*mid)[index(addr, 1)].get() : nullptr;
+        return leaf ? (*leaf)[index(addr, 0)].get() : nullptr;
     }
 
-    template <typename Child>
-    static Child &
-    materialise(std::unique_ptr<Child> &slot)
+    template <typename T>
+    static T &
+    touch(std::unique_ptr<T> &slot)
     {
         if (!slot)
-            slot = std::make_unique<Child>();
+            slot = std::make_unique<T>();
         return *slot;
     }
 
@@ -193,18 +178,15 @@ class GuestMemory
     frame(Addr addr)
     {
         checkRange(addr);
-        Upper &upper = materialise(root_[index(addr, 3)]);
-        Mid &mid = materialise(upper[index(addr, 2)]);
-        Leaf &leaf = materialise(mid[index(addr, 1)]);
+        auto &upper = touch(root_[index(addr, 3)]);
+        Leaf &leaf = touch(touch(upper[index(addr, 2)])[index(addr, 1)]);
         std::unique_ptr<Frame> &slot = leaf[index(addr, 0)];
-        if (!slot) {
-            slot = std::make_unique<Frame>();
-            ++frameCount_;
-        }
-        return *slot;
+        frameCount_ += !slot;
+        return touch(slot);
     }
 
-    Level<Upper> root_;
+    /** Spans 2^48 bytes: 512 GiB, then 1 GiB, then 2 MiB regions. */
+    Level<Level<Level<Leaf>>> root_;
     std::size_t frameCount_ = 0;
 };
 

@@ -27,11 +27,11 @@ namespace stramash
  * Fixed-slot SPSC ring in guest memory. Layout:
  *   [0,  8)  head (next slot to read), written by consumer
  *   [8, 16)  tail (next slot to write), written by producer
+ *   [64, …)  slots of slotBytes each
  *
  * Both control words are stored to guest memory whenever they change,
  * and every load and store of them is charged; the host reads its own
  * copies rather than loading the words back.
- *   [64, …)  slots of slotBytes each
  */
 class MessageRing
 {

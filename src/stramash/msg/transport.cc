@@ -72,8 +72,6 @@ MessageLayer::send(const Message &msg)
         if (m.respondsTo != 0)
             cacheReply(m.respondsTo, m);
     }
-    ++sent_;
-    bytes_ += m.wireSize();
     if (!sentTotal_) {
         sentTotal_ = &stats_.counter("sent_total");
         bytesSent_ = &stats_.counter("bytes_sent");
@@ -430,8 +428,6 @@ MessageLayer::sendReliable(const Message &msg, bool dispatchNow)
 void
 MessageLayer::resetCounters()
 {
-    sent_ = 0;
-    bytes_ = 0;
     stats_.resetAll();
 }
 

@@ -170,9 +170,13 @@ class MessageLayer
     StatGroup &stats() { return stats_; }
 
     /** Total messages sent since construction (Table 3). */
-    std::uint64_t messagesSent() const { return sent_; }
+    std::uint64_t
+    messagesSent() const
+    {
+        return sentTotal_ ? *sentTotal_ : 0;
+    }
 
-    std::uint64_t bytesSent() const { return bytes_; }
+    std::uint64_t bytesSent() const { return bytesSent_ ? *bytesSent_ : 0; }
 
     void resetCounters();
 
@@ -196,8 +200,6 @@ class MessageLayer
     Counter *bytesSent_ = nullptr;
     Histogram *wireBytes_ = nullptr;
     std::array<Counter *, msgTypeCount> sentByType_{};
-    std::uint64_t sent_ = 0;
-    std::uint64_t bytes_ = 0;
     std::uint64_t seq_ = 0;
     RpcPolicy policy_;
 
