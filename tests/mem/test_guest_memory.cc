@@ -135,3 +135,10 @@ TEST(GuestMemory, FrameCountExactAfterRewrites)
     }
     EXPECT_EQ(mem.frameCount(), 9u);
 }
+
+TEST(GuestMemoryDeath, AddressBeyondPhysicalSpacePanics)
+{
+    GuestMemory mem;
+    EXPECT_DEATH(mem.store<std::uint8_t>(Addr{1} << 48, 1), "48-bit");
+    EXPECT_DEATH(mem.load<std::uint8_t>(~Addr{0}), "48-bit");
+}
