@@ -69,6 +69,38 @@ randomTrace(std::uint64_t seed, unsigned numNodes, std::size_t count,
     return ops;
 }
 
+/**
+ * Trace for the paper geometry (8-way L1s, 16-way L2 and L3). Half
+ * the accesses go to a hot 8 KiB region both nodes share. The other
+ * half pick one of 48 tags in one of 4 line slots, 256 KiB apart (the
+ * set stride of a 4 MiB 16-way L3, a multiple of every inner level's),
+ * so each level's 8- and 16-way sets overflow and run their
+ * replacement order. With @p dataOnly no access is an instruction
+ * fetch, so the L1I is never filled.
+ */
+std::vector<Op>
+paperTrace(std::uint64_t seed, std::size_t count, bool dataOnly)
+{
+    Rng rng(seed);
+    std::vector<Op> ops;
+    ops.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        Op op;
+        op.node = rng.below(2);
+        double roll = 0.01 * (rng.below(100));
+        op.type = roll < 0.3 ? AccessType::Store
+                  : (!dataOnly && roll < 0.35) ? AccessType::InstFetch
+                                               : AccessType::Load;
+        Addr base = 0x10000000;
+        op.addr = rng.chance(0.5)
+                      ? base + rng.below(8_KiB)
+                      : base + rng.below(48) * 256_KiB +
+                            rng.below(4) * cacheLineSize;
+        ops.push_back(op);
+    }
+    return ops;
+}
+
 bool
 sameResult(const AccessResult &a, const AccessResult &b)
 {
@@ -297,40 +329,65 @@ struct Fnv
  * both of its sides through the same hierarchy code, so it cannot see
  * a change that alters what the cache model simulates. This test pins
  * the exact AccessResult stream and the final per-node counters of
- * one seeded trace, recorded from the model as it stands, for private
- * and shared LLCs under two memory models. Any refactor of
+ * seeded traces, recorded from the model as it stands, for private
+ * and shared LLCs under two memory models. The tiny geometry (2- and
+ * 4-way) forces eviction churn everywhere; the paper geometry (8-way
+ * L1s, 16-way L2 and L3) pins full 16-way replacement order, once
+ * with a data-only trace that never fills the L1I. Any refactor of
  * cache/hierarchy/coherence must leave these hashes unchanged.
  */
 TEST(CacheGolden, OutputMatchesRecordedHashes)
 {
+    enum class Trace { Tiny, Paper, PaperDataOnly };
     struct Config
     {
+        Trace trace;
         bool sharedLlc;
         MemoryModel model;
         std::uint64_t resultsHash;
         std::uint64_t countersHash;
     };
     const Config configs[] = {
-        {false, MemoryModel::Separated, 0x8d53d1e3b42d9df1ull,
-         0x2b27766c4b659fa6ull},
-        {false, MemoryModel::FullyShared, 0x4b69e59f3ff15a29ull,
-         0x7d1b0d467791dd1aull},
-        {true, MemoryModel::Separated, 0x25e10872910ec917ull,
-         0x441466a29a0bd68bull},
-        {true, MemoryModel::FullyShared, 0x55c6630e82bb0c6bull,
-         0x95a2e414492c363dull},
+        {Trace::Tiny, false, MemoryModel::Separated,
+         0x8d53d1e3b42d9df1ull, 0x2b27766c4b659fa6ull},
+        {Trace::Tiny, false, MemoryModel::FullyShared,
+         0x4b69e59f3ff15a29ull, 0x7d1b0d467791dd1aull},
+        {Trace::Tiny, true, MemoryModel::Separated,
+         0x25e10872910ec917ull, 0x441466a29a0bd68bull},
+        {Trace::Tiny, true, MemoryModel::FullyShared,
+         0x55c6630e82bb0c6bull, 0x95a2e414492c363dull},
+        {Trace::Paper, false, MemoryModel::Separated,
+         0x9a0dd72e7f4b1250ull, 0x7b50ac1694d779e9ull},
+        {Trace::Paper, true, MemoryModel::FullyShared,
+         0x8974e9ce11cec596ull, 0xa8313d6d9b2b117full},
+        {Trace::PaperDataOnly, false, MemoryModel::Separated,
+         0xf9826dd240d19c35ull, 0x276818a81a60e8d6ull},
+        {Trace::PaperDataOnly, true, MemoryModel::FullyShared,
+         0xdeb18191b80d63a1ull, 0x09c8a04ce124a22bull},
     };
 
     for (const Config &cfg : configs) {
-        SCOPED_TRACE(std::string(cfg.sharedLlc ? "shared" : "private") +
-                     " LLC, " + memoryModelName(cfg.model));
+        bool paper = cfg.trace != Trace::Tiny;
+        SCOPED_TRACE(std::string(paper ? "paper" : "tiny") +
+                     " geometry, " +
+                     (cfg.trace == Trace::PaperDataOnly ? "data-only, "
+                                                        : "") +
+                     (cfg.sharedLlc ? "shared" : "private") + " LLC, " +
+                     memoryModelName(cfg.model));
         PhysMap map = PhysMap::paperDefault(cfg.model);
-        CacheGeometry shared{16_KiB, 4};
+        CacheGeometry shared =
+            paper ? CacheGeometry{4_MiB, 16} : CacheGeometry{16_KiB, 4};
+        HierarchyGeometry geom =
+            paper ? HierarchyGeometry::paperDefault(4_MiB) : tinyGeom();
         CoherenceDomain d(map, SnoopCosts{},
                           cfg.sharedLlc ? &shared : nullptr);
-        d.addNode(0, tinyGeom(), latencyProfile(CoreModel::XeonGold));
-        d.addNode(1, tinyGeom(),
-                  latencyProfile(CoreModel::ThunderX2));
+        d.addNode(0, geom, latencyProfile(CoreModel::XeonGold));
+        d.addNode(1, geom, latencyProfile(CoreModel::ThunderX2));
+        auto trace = [&](std::uint64_t seed, std::size_t count) {
+            return paper ? paperTrace(seed, count,
+                                      cfg.trace == Trace::PaperDataOnly)
+                         : randomTrace(seed, 2, count, 64_KiB);
+        };
 
         Fnv results;
         auto run = [&](const AccessResult &r) {
@@ -340,14 +397,14 @@ TEST(CacheGolden, OutputMatchesRecordedHashes)
             results.add(r.snoopInvalidate);
             results.add(r.snoopData);
         };
-        auto ops = randomTrace(42, 2, 20000, 64_KiB);
+        auto ops = trace(42, 20000);
         for (std::size_t i = 0; i < ops.size(); ++i) {
             const Op &op = ops[i];
             run(d.accessLine(op.node, op.type,
                              op.addr + (i % 2 ? 2_GiB : 0)));
         }
         d.flushAll();
-        for (const Op &op : randomTrace(43, 2, 5000, 64_KiB))
+        for (const Op &op : trace(43, 5000))
             run(d.accessLine(op.node, op.type, op.addr));
 
         Fnv counters;
