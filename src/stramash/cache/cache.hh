@@ -48,19 +48,39 @@ struct CacheGeometry
     }
 };
 
-/** Tag store for one cache level. */
+/**
+ * Tag store for one cache level. Each way is one 64-bit word holding
+ * (line number << 2) | MESI state. Replacement is exact LRU, kept per
+ * set as a recency permutation: the 4-bit way numbers packed in one
+ * word, least recently used in the lowest slot. That caps a set at
+ * 16 ways.
+ */
 class SetAssocCache
 {
   public:
-    struct Line
+    class Line
     {
-        Addr tag = 0;
-        Mesi state = Mesi::Invalid;
-        std::uint64_t lru = 0;
+      public:
+        Mesi state() const { return static_cast<Mesi>(word_ & stateMask); }
 
-        bool valid() const { return state != Mesi::Invalid; }
-        bool dirty() const { return state == Mesi::Modified; }
+        void
+        setState(Mesi state)
+        {
+            word_ = (word_ & ~stateMask) | static_cast<std::uint64_t>(state);
+        }
+
+        bool valid() const { return state() != Mesi::Invalid; }
+        bool dirty() const { return state() == Mesi::Modified; }
+
+      private:
+        friend class SetAssocCache;
+        static constexpr std::uint64_t stateMask = 3;
+        std::uint64_t word_ = 0;
     };
+
+    /** Way argument of insert() that asks it to scan the set. */
+    static constexpr unsigned anyWay = ~0u;
+    static constexpr unsigned maxWays = 16;
 
     explicit SetAssocCache(const CacheGeometry &geom);
 
@@ -70,10 +90,17 @@ class SetAssocCache
     Addr lineAddrOf(Addr addr) const { return addr & ~(geom_.lineSize - 1); }
 
     /**
-     * Look up a line. On a hit the LRU stamp is refreshed.
+     * Look up a line. On a hit the line becomes most recently used.
      * @return the line, or nullptr on miss.
      */
     Line *probe(Addr addr);
+
+    /**
+     * probe() that, on a miss, also sets @p victim to the way
+     * insert() would replace for @p addr. Passing it back to insert()
+     * skips the second scan, provided nothing changed the set since.
+     */
+    Line *probe(Addr addr, unsigned &victim);
 
     /** Look up without disturbing LRU (for coherence snoops). */
     Line *find(Addr addr);
@@ -81,7 +108,9 @@ class SetAssocCache
 
     /**
      * Install a line in the given state, evicting the LRU victim of
-     * the set if necessary.
+     * the set if necessary. @p way is anyWay (scan the set; a line
+     * already present just changes state) or the victim a missed
+     * probe() reported for @p addr, with the set unchanged since.
      * @return the physical line address of the evicted victim (and
      *         whether it was dirty), if a valid line was displaced.
      */
@@ -90,7 +119,8 @@ class SetAssocCache
         Addr lineAddr;
         bool dirty;
     };
-    std::optional<Victim> insert(Addr addr, Mesi state);
+    std::optional<Victim> insert(Addr addr, Mesi state,
+                                 unsigned way = anyWay);
 
     /** Drop a line if present. @return previous state. */
     Mesi invalidate(Addr addr);
@@ -112,11 +142,14 @@ class SetAssocCache
     Addr numSets_;
     Addr setMask_;
     unsigned lineShift_;
+    unsigned wayShift_;
     std::vector<Line> lines_; // sets * ways, row-major by set
-    std::uint64_t tick_ = 0;
+    /** Per set: way numbers by recency, 4 bits each, LRU lowest. */
+    std::vector<std::uint64_t> recency_;
 
     static constexpr std::size_t miss = SIZE_MAX;
-    std::size_t scan(Addr addr, std::size_t *victim = nullptr) const;
+    std::size_t scan(Addr addr, unsigned *victim = nullptr) const;
+    void touch(std::size_t index);
 };
 
 } // namespace stramash

@@ -87,8 +87,10 @@ CoherenceDomain::evicted(NodeId node, Addr lineAddr, bool dirty)
         tracer_->instant(TraceCategory::Coherence, "coh.writeback",
                          node, 0, lineAddr);
     }
-    if (hook_)
+    if (hook_) {
         hook_(node, lineAddr);
+        ++hookRuns_;
+    }
 }
 
 Cycles
@@ -170,17 +172,18 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
     // and no memory classification, and a store that already owns
     // the line Modified needs nothing either — return before any
     // cross-node structure is touched.
-    if (SetAssocCache::Line *l1 = hier.probeL1(lineAddr, inst)) {
+    CacheHierarchy::VictimWays ways;
+    if (SetAssocCache::Line *l1 = hier.probeL1(lineAddr, inst, ways)) {
         AccessResult res;
         res.level = HitLevel::L1;
         res.latency = nc.profile.l1;
-        if (type == AccessType::Store && l1->state != Mesi::Modified)
+        if (type == AccessType::Store && l1->state() != Mesi::Modified)
             storeHit(res);
         return res;
     }
 
     AccessResult res;
-    res.level = hier.lookupFromL2(lineAddr, inst);
+    res.level = hier.lookupFromL2(lineAddr, inst, ways);
 
     // A shared-LLC hit promotes the line into this node's private
     // levels without a fill() — for the directory that is a private
@@ -197,9 +200,18 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
         return res;
     }
 
-    // Full miss: coherence first, then memory.
+    // Full miss: coherence first, then memory. The write-back hook
+    // runs code outside the cache model (a DSM write-back can stall a
+    // node into a scheduled crash and its recovery), so the probes'
+    // victim ways do not survive it.
+    const std::uint64_t hookRuns = hookRuns_;
+    auto hookMayHaveChangedUs = [&] {
+        if (hookRuns_ != hookRuns)
+            ways = {};
+    };
     bool othersHold = false;
     res.latency += snoopOthers(node, type, lineAddr, res, &othersHold);
+    hookMayHaveChangedUs();
 
     res.memClass = map_.classify(addr, node);
     ++*nc.memAccesses;
@@ -226,7 +238,7 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
     if (type != AccessType::Store)
         fillState = othersHold ? Mesi::Shared : Mesi::Exclusive;
 
-    hier.fill(lineAddr, fillState, inst,
+    hier.fill(lineAddr, fillState, inst, ways,
               [&](Addr victim, bool dirty, bool hadInner) {
         // With a private LLC the victim always leaves this node; with
         // a shared LLC it only leaves *this* node's private hierarchy
@@ -255,6 +267,7 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
                 ++*nc.backInvalidates;
             }
         }
+        hookMayHaveChangedUs();
     });
     filter_.addSharer(lineAddr, node);
     return res;

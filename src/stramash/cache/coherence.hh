@@ -153,6 +153,8 @@ class CoherenceDomain
     SnoopFilter filter_;
     bool broadcast_ = false;
     WritebackHook hook_;
+    /** Times hook_ ran: an access compares it across its callouts. */
+    std::uint64_t hookRuns_ = 0;
     Tracer *tracer_ = nullptr;
 
     NodeCtx &

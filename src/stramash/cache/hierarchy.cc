@@ -39,32 +39,32 @@ namespace
 {
 
 /**
- * Install a promoted line into an inner level; a displaced dirty
- * victim is written back into the outer level (its state there
- * becomes Modified).
+ * A dirty victim displaced from an inner level by a promotion is
+ * written back into the outer level (its state there becomes
+ * Modified).
  */
 void
-promoteInto(SetAssocCache &inner, SetAssocCache &outer, Addr lineAddr,
-            Mesi state)
+writeBack(const std::optional<SetAssocCache::Victim> &victim,
+          SetAssocCache &outer)
 {
-    auto victim = inner.insert(lineAddr, state);
     if (victim && victim->dirty) {
         if (auto *l = outer.find(victim->lineAddr))
-            l->state = Mesi::Modified;
+            l->setState(Mesi::Modified);
     }
 }
 
 void
 drop(SetAssocCache::Line &l)
 {
-    l.state = Mesi::Invalid;
+    l.setState(Mesi::Invalid);
 }
 
 } // namespace
 
 /**
  * The one level walk: apply @p f to the line at each of the first
- * @p n private levels that hold it. It is const so lineState() can
+ * @p n private levels that hold it, skipping an L1I that has held
+ * nothing since the last flush. It is const so lineState() can
  * share it; the levels are held by pointer, so @p f may change them.
  * @return the strongest state seen before @p f ran.
  */
@@ -73,9 +73,9 @@ Mesi
 CacheHierarchy::walk(Addr lineAddr, std::size_t n, F &&f) const
 {
     Mesi strongest = Mesi::Invalid;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = l1iLive_ ? 0 : 1; i < n; ++i) {
         if (SetAssocCache::Line *l = levels_[i]->find(lineAddr)) {
-            strongest = std::max(strongest, l->state);
+            strongest = std::max(strongest, l->state());
             f(*l);
         }
     }
@@ -83,21 +83,26 @@ CacheHierarchy::walk(Addr lineAddr, std::size_t n, F &&f) const
 }
 
 HitLevel
-CacheHierarchy::lookupFromL2(Addr lineAddr, bool instFetch)
+CacheHierarchy::lookupFromL2(Addr lineAddr, bool instFetch,
+                             VictimWays &ways)
 {
     ++l2Accesses_;
-    if (auto *line = l2().probe(lineAddr)) {
+    if (auto *line = l2().probe(lineAddr, ways.l2)) {
         ++l2Hits_;
-        promoteInto(l1(instFetch), l2(), lineAddr, line->state);
+        writeBack(l1Insert(lineAddr, line->state(), instFetch, ways.l1),
+                  l2());
         return HitLevel::L2;
     }
-    if (llc_ == &l2())
+    if (llc_ == &l2()) {
+        ways.llc = ways.l2;
         return HitLevel::Memory;
+    }
     ++l3Accesses_;
-    if (auto *line = llc_->probe(lineAddr)) {
+    if (auto *line = llc_->probe(lineAddr, ways.llc)) {
         ++l3Hits_;
-        promoteInto(l2(), *llc_, lineAddr, line->state);
-        promoteInto(l1(instFetch), l2(), lineAddr, line->state);
+        Mesi state = line->state();
+        writeBack(l2().insert(lineAddr, state, ways.l2), *llc_);
+        writeBack(l1Insert(lineAddr, state, instFetch, ways.l1), l2());
         return HitLevel::L3;
     }
     return HitLevel::Memory;
@@ -134,10 +139,10 @@ Mesi
 CacheHierarchy::setState(Addr lineAddr, Mesi state)
 {
     Mesi prior = walk(lineAddr, numLevels_,
-                      [&](SetAssocCache::Line &l) { l.state = state; });
+                      [&](SetAssocCache::Line &l) { l.setState(state); });
     if (usesSharedL3()) {
         if (auto *l = llc_->find(lineAddr))
-            l->state = state;
+            l->setState(state);
     }
     return prior;
 }
@@ -159,8 +164,8 @@ Mesi
 CacheHierarchy::downgradeLine(Addr lineAddr)
 {
     return walk(lineAddr, numLevels_, [](SetAssocCache::Line &l) {
-        if (l.state == Mesi::Modified || l.state == Mesi::Exclusive)
-            l.state = Mesi::Shared;
+        if (l.state() == Mesi::Modified || l.state() == Mesi::Exclusive)
+            l.setState(Mesi::Shared);
     });
 }
 
@@ -169,6 +174,7 @@ CacheHierarchy::flushAll()
 {
     for (std::size_t i = 0; i < numLevels_; ++i)
         levels_[i]->flushAll();
+    l1iLive_ = false;
 }
 
 } // namespace stramash

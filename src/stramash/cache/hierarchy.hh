@@ -17,6 +17,7 @@
 #include <array>
 #include <memory>
 #include <type_traits>
+#include <utility>
 
 #include "stramash/cache/cache.hh"
 #include "stramash/common/stats.hh"
@@ -64,28 +65,45 @@ class CacheHierarchy
     NodeId node() const { return node_; }
 
     /**
+     * The way each level's missed probe picked to replace for the
+     * line being looked up: the L1 the access used, the L2 and the
+     * last level. fill() and promotions install there without a
+     * second scan. SetAssocCache::anyWay makes them scan, and any
+     * change to the hierarchy between the probes and the install
+     * must reset the ways to that.
+     */
+    struct VictimWays
+    {
+        unsigned l1 = SetAssocCache::anyWay;
+        unsigned l2 = SetAssocCache::anyWay;
+        unsigned llc = SetAssocCache::anyWay;
+    };
+
+    /**
      * Probe for a line; refreshes LRU at the level that hits.
      * @return the innermost level holding the line, or Memory.
      */
     HitLevel
     lookup(Addr lineAddr, bool instFetch)
     {
-        if (probeL1(lineAddr, instFetch))
+        VictimWays ways;
+        if (probeL1(lineAddr, instFetch, ways))
             return HitLevel::L1;
-        return lookupFromL2(lineAddr, instFetch);
+        return lookupFromL2(lineAddr, instFetch, ways);
     }
 
     /**
      * L1-only probe (the hot-loop fast path): tallies the L1 access
      * and hit counters exactly like lookup() and refreshes LRU, but
-     * touches no outer level.
+     * touches no outer level. On a miss @p ways.l1 gets the L1 way a
+     * fill would replace.
      * @return the L1 line on a hit, nullptr on an L1 miss.
      */
     SetAssocCache::Line *
-    probeL1(Addr lineAddr, bool instFetch)
+    probeL1(Addr lineAddr, bool instFetch, VictimWays &ways)
     {
         ++l1Accesses_;
-        SetAssocCache::Line *l = l1(instFetch).probe(lineAddr);
+        SetAssocCache::Line *l = l1(instFetch).probe(lineAddr, ways.l1);
         if (l)
             ++l1Hits_;
         return l;
@@ -93,9 +111,11 @@ class CacheHierarchy
 
     /**
      * Continue a lookup that already missed L1 (after probeL1):
-     * probes L2 and the LLC, promoting a hit inward.
+     * probes L2 and the LLC, promoting a hit inward at the carried
+     * ways. On a full miss @p ways holds every level's victim way.
      */
-    HitLevel lookupFromL2(Addr lineAddr, bool instFetch);
+    HitLevel lookupFromL2(Addr lineAddr, bool instFetch,
+                          VictimWays &ways);
 
     /** State of the line as seen by this node (strongest level). */
     Mesi lineState(Addr lineAddr) const;
@@ -104,7 +124,8 @@ class CacheHierarchy
     bool holds(Addr lineAddr) const;
 
     /**
-     * Install a line in every level in @p state.
+     * Install a line in every level in @p state, at the victim ways
+     * of @p ways (see VictimWays).
      * Evicted victims are reported through @p onEvict (line address,
      * dirty, hadInner) — only last-level victims are reported, since
      * those are the ones leaving the node entirely. @p hadInner tells
@@ -115,6 +136,7 @@ class CacheHierarchy
      * coherence directory needs to keep its presence counts paired.
      *
      * @p onEvict is any callable `(Addr, bool, bool)`, or nullptr.
+     * If it may change this hierarchy, it must reset @p ways.
      * Taking it as a template parameter keeps the per-fill cost at a
      * direct (inlinable) call — the hot loop fills on every miss, and
      * wrapping its capturing lambda in a std::function would
@@ -122,14 +144,19 @@ class CacheHierarchy
      */
     template <typename OnEvict>
     void
-    fill(Addr lineAddr, Mesi state, bool instFetch, OnEvict &&onEvict)
+    fill(Addr lineAddr, Mesi state, bool instFetch, VictimWays &ways,
+         OnEvict &&onEvict)
     {
         // Fill outside-in so inclusion is never violated mid-fill. The
         // LLC victim leaves the node, so its inner copies go too; a
         // shared LLC victim may also be held by other nodes, which
         // the domain's eviction hook handles.
-        if (auto v = llc_->insert(lineAddr, state)) {
+        if (auto v = llc_->insert(lineAddr, state, ways.llc)) {
             Mesi inner = invalidateInner(v->lineAddr);
+            // Dropping an inner copy frees a way the inner probes
+            // did not see.
+            if (inner != Mesi::Invalid)
+                ways = {};
             if constexpr (!std::is_null_pointer_v<
                               std::decay_t<OnEvict>>) {
                 onEvict(v->lineAddr,
@@ -138,8 +165,18 @@ class CacheHierarchy
             }
         }
         if (llc_ != &l2())
-            l2().insert(lineAddr, state);
-        l1(instFetch).insert(lineAddr, state);
+            l2().insert(lineAddr, state, ways.l2);
+        l1Insert(lineAddr, state, instFetch, ways.l1);
+    }
+
+    /** fill() with no carried ways: every level scans. */
+    template <typename OnEvict>
+    void
+    fill(Addr lineAddr, Mesi state, bool instFetch, OnEvict &&onEvict)
+    {
+        VictimWays ways;
+        fill(lineAddr, state, instFetch, ways,
+             std::forward<OnEvict>(onEvict));
     }
 
     /**
@@ -165,7 +202,9 @@ class CacheHierarchy
 
     bool hasL3() const { return numLevels_ > 3; }
 
-    SetAssocCache &l1i() { return *levels_[0]; }
+    /** Read-only: installs go through fill() and promotions, which
+     *  track whether the L1I has gone live. */
+    const SetAssocCache &l1i() const { return *levels_[0]; }
     SetAssocCache &l1d() { return *levels_[1]; }
     SetAssocCache &l2() { return *levels_[2]; }
     SetAssocCache *l3() { return hasL3() ? levels_[3].get() : nullptr; }
@@ -185,6 +224,14 @@ class CacheHierarchy
   private:
     SetAssocCache &l1(bool instFetch) { return *levels_[instFetch ? 0 : 1]; }
 
+    /** Install into the access's L1, noting when the L1I goes live. */
+    std::optional<SetAssocCache::Victim>
+    l1Insert(Addr lineAddr, Mesi state, bool instFetch, unsigned way)
+    {
+        l1iLive_ |= instFetch;
+        return l1(instFetch).insert(lineAddr, state, way);
+    }
+
     /**
      * Invalidate the line in the private levels inside the LLC (all
      * of them under a shared L3). @return the strongest prior state.
@@ -200,6 +247,11 @@ class CacheHierarchy
     std::size_t numLevels_ = 0;
     /** Last level: the shared L3, the private L3, or the L2. */
     SetAssocCache *llc_;
+    /**
+     * False while the L1I has held nothing since construction or the
+     * last flushAll(); walks skip it then, since it is empty.
+     */
+    bool l1iLive_ = false;
 
     Counter &l1Hits_;
     Counter &l1Accesses_;

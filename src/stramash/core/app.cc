@@ -71,11 +71,12 @@ App::mmap(Addr bytes, bool writable, VmaKind kind,
     return base;
 }
 
-KernelInstance &
-App::currentKernel()
+App::Current
+App::current()
 {
     sys_.noteUserOp(pid_);
-    return sys_.kernel(where());
+    KernelInstance &k = sys_.kernel(where());
+    return {k, k.task(pid_)};
 }
 
 void
@@ -106,31 +107,22 @@ App::migrateToNext()
 }
 
 void
-App::retireForAccess(KernelInstance &k)
-{
-    // A memory instruction retires alongside its access.
-    double exp = isaDescriptor(k.isa()).instExpansion;
-    k.machine().retire(k.nodeId(),
-                       static_cast<ICount>(exp < 1.0 ? 1.0 : exp));
-}
-
-void
 App::readBuf(Addr va, void *dst, std::size_t size)
 {
-    KernelInstance &k = currentKernel();
+    Current c = current();
     // One instruction per cache line moved.
-    k.machine().retire(k.nodeId(), (size + cacheLineSize - 1) /
-                                       cacheLineSize);
-    k.userRead(currentTask(), va, dst, size);
+    c.kernel.machine().retire(c.kernel.nodeId(),
+                              (size + cacheLineSize - 1) / cacheLineSize);
+    c.kernel.userRead(c.task, va, dst, size);
 }
 
 void
 App::writeBuf(Addr va, const void *src, std::size_t size)
 {
-    KernelInstance &k = currentKernel();
-    k.machine().retire(k.nodeId(), (size + cacheLineSize - 1) /
-                                       cacheLineSize);
-    k.userWrite(currentTask(), va, src, size);
+    Current c = current();
+    c.kernel.machine().retire(c.kernel.nodeId(),
+                              (size + cacheLineSize - 1) / cacheLineSize);
+    c.kernel.userWrite(c.task, va, src, size);
 }
 
 void
@@ -146,37 +138,36 @@ App::compute(std::uint64_t units)
 bool
 App::futexWait(Addr uaddr, std::uint32_t expected)
 {
-    KernelInstance &k = currentKernel();
-    STRAMASH_TRACE_SPAN(k.machine().tracer(), TraceCategory::Futex,
-                        "futex.wait", k.nodeId(), pid_, uaddr,
+    Current c = current();
+    STRAMASH_TRACE_SPAN(c.kernel.machine().tracer(), TraceCategory::Futex,
+                        "futex.wait", c.kernel.nodeId(), pid_, uaddr,
                         expected);
-    return sys_.futexPolicy().wait(k, currentTask(), uaddr, expected);
+    return sys_.futexPolicy().wait(c.kernel, c.task, uaddr, expected);
 }
 
 unsigned
 App::futexWake(Addr uaddr, unsigned count)
 {
-    KernelInstance &k = currentKernel();
-    STRAMASH_TRACE_SPAN(k.machine().tracer(), TraceCategory::Futex,
-                        "futex.wake", k.nodeId(), pid_, uaddr, count);
-    return sys_.futexPolicy().wake(k, currentTask(), uaddr, count);
+    Current c = current();
+    STRAMASH_TRACE_SPAN(c.kernel.machine().tracer(), TraceCategory::Futex,
+                        "futex.wake", c.kernel.nodeId(), pid_, uaddr,
+                        count);
+    return sys_.futexPolicy().wake(c.kernel, c.task, uaddr, count);
 }
 
 std::uint32_t
 App::fetchAdd(Addr uaddr, std::uint32_t delta)
 {
-    KernelInstance &k = currentKernel();
-    retireForAccess(k);
-    return k.userFetchAdd(currentTask(), uaddr, delta);
+    Current c = beginAccess();
+    return c.kernel.userFetchAdd(c.task, uaddr, delta);
 }
 
 bool
 App::cas(Addr uaddr, std::uint32_t expected, std::uint32_t desired)
 {
-    KernelInstance &k = currentKernel();
-    retireForAccess(k);
+    Current c = beginAccess();
     bool ok = false;
-    k.userCas(currentTask(), uaddr, expected, desired, ok);
+    c.kernel.userCas(c.task, uaddr, expected, desired, ok);
     return ok;
 }
 

@@ -69,18 +69,16 @@ class App
     T
     read(Addr va)
     {
-        KernelInstance &k = currentKernel();
-        retireForAccess(k);
-        return k.userLoad<T>(currentTask(), va);
+        Current c = beginAccess();
+        return c.kernel.userLoad<T>(c.task, va);
     }
 
     template <typename T>
     void
     write(Addr va, const T &v)
     {
-        KernelInstance &k = currentKernel();
-        retireForAccess(k);
-        k.userStore<T>(currentTask(), va, v);
+        Current c = beginAccess();
+        c.kernel.userStore<T>(c.task, va, v);
     }
 
     void readBuf(Addr va, void *dst, std::size_t size);
@@ -96,12 +94,21 @@ class App
     std::uint32_t fetchAdd(Addr uaddr, std::uint32_t delta);
     bool cas(Addr uaddr, std::uint32_t expected, std::uint32_t desired);
 
-    /** The kernel hosting the task right now. Every user-level
-     *  operation funnels through here, which is where the crash
+    /** Where the task runs right now: its kernel and its task
+     *  record there. */
+    struct Current
+    {
+        KernelInstance &kernel;
+        Task &task;
+    };
+
+    /** Resolve the hosting kernel and task. Every user-level
+     *  operation funnels through here once, which is where the crash
      *  guard hooks in: if this task's kernel has died, detection and
      *  recovery run before the operation proceeds. */
-    KernelInstance &currentKernel();
-    Task &currentTask() { return currentKernel().task(pid_); }
+    Current current();
+    KernelInstance &currentKernel() { return current().kernel; }
+    Task &currentTask() { return current().task; }
 
   private:
     System &sys_;
@@ -109,7 +116,15 @@ class App
     NodeId origin_;
     Addr mmapCursor_ = heapBase;
 
-    void retireForAccess(KernelInstance &k);
+    /** current(), plus the instructions a memory access retires. */
+    Current
+    beginAccess()
+    {
+        Current c = current();
+        c.kernel.machine().retire(c.kernel.nodeId(),
+                                  c.kernel.accessInstructions());
+        return c;
+    }
 };
 
 } // namespace stramash

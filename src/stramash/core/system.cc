@@ -154,16 +154,6 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
 System::~System() = default;
 
 KernelInstance &
-System::kernel(NodeId node)
-{
-    for (auto &k : kernels_) {
-        if (k->nodeId() == node)
-            return *k;
-    }
-    panic("unknown kernel node ", node);
-}
-
-KernelInstance &
 System::kernelByIsa(IsaType isa)
 {
     // Only well-defined when exactly one alive kernel runs the ISA;

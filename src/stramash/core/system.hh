@@ -84,7 +84,14 @@ class System
     Machine &machine() { return *machine_; }
     MessageLayer &msg() { return *msg_; }
 
-    KernelInstance &kernel(NodeId node);
+    /** The kernel on @p node (kernels_ is built in NodeId order). */
+    KernelInstance &
+    kernel(NodeId node)
+    {
+        panic_if(node >= kernels_.size(), "unknown kernel node ", node);
+        return *kernels_[node];
+    }
+
     KernelInstance &kernelByIsa(IsaType isa);
     std::size_t nodeCount() const { return kernels_.size(); }
 
@@ -183,7 +190,6 @@ class System
     // ---- policy access ----
 
     FutexPolicy &futexPolicy() { return *futexPolicy_; }
-    MigrationPolicy &migrationPolicy() { return *migrationPolicy_; }
 
     /** Non-null for the MultipleKernel design. */
     DsmEngine *dsmEngine() { return dsmEngine_.get(); }

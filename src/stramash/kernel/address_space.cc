@@ -3,6 +3,34 @@
 namespace stramash
 {
 
+namespace
+{
+
+/** Slot of @p va at TLB radix @p level (0 = leaf). */
+std::size_t
+index(Addr va, unsigned level)
+{
+    return (va >> (pageShift + 9 * level)) & 511;
+}
+
+void
+checkRange(Addr va)
+{
+    panic_if(va >> (pageShift + 4 * 9), "virtual address ", va,
+             " beyond the 48-bit virtual space");
+}
+
+template <typename T>
+T &
+touch(std::unique_ptr<T> &slot)
+{
+    if (!slot)
+        slot = std::make_unique<T>();
+    return *slot;
+}
+
+} // namespace
+
 AddressSpace::AddressSpace(GuestMemory &mem, const PteFormat &fmt,
                            const PteFormat *foreignFmt, FrameAlloc alloc,
                            FrameFree free, Addr lockWordsBase)
@@ -12,25 +40,42 @@ AddressSpace::AddressSpace(GuestMemory &mem, const PteFormat &fmt,
 {
 }
 
+std::uint64_t *
+AddressSpace::tlbFind(Addr va) const
+{
+    checkRange(va);
+    const auto *upper = tlb_[index(va, 3)].get();
+    const auto *mid = upper ? (*upper)[index(va, 2)].get() : nullptr;
+    Leaf *leaf = mid ? (*mid)[index(va, 1)].get() : nullptr;
+    return leaf ? &(*leaf)[index(va, 0)] : nullptr;
+}
+
+std::uint64_t &
+AddressSpace::tlbSlot(Addr va)
+{
+    checkRange(va);
+    auto &upper = touch(tlb_[index(va, 3)]);
+    Leaf &leaf = touch(touch(upper[index(va, 2)])[index(va, 1)]);
+    return leaf[index(va, 0)];
+}
+
 XlateResult
 AddressSpace::translate(Addr va, AccessType type)
 {
-    Addr vpage = pageBase(va);
-    auto it = tlb_.find(vpage);
-    if (it != tlb_.end()) {
-        ++tlbHits_;
-        if (type == AccessType::Store && !it->second.writable)
-            return {XlateStatus::NoWrite, it->second.pa + pageOffset(va)};
-        return {XlateStatus::Ok, it->second.pa + pageOffset(va)};
+    const std::uint64_t *cached = tlbFind(va);
+    std::uint64_t entry = cached ? *cached : 0;
+    if (!entry) {
+        auto w = pt_->walk(pageBase(va));
+        if (!w || !w->pte.attrs.present)
+            return {XlateStatus::NotMapped, 0};
+        entry = w->pte.frame | tlbPresent |
+                (w->pte.attrs.writable ? tlbWritable : 0);
+        tlbSlot(va) = entry;
     }
-    ++tlbMisses_;
-    auto w = pt_->walk(vpage);
-    if (!w || !w->pte.attrs.present)
-        return {XlateStatus::NotMapped, 0};
-    tlb_[vpage] = {w->pte.frame, w->pte.attrs.writable};
-    if (type == AccessType::Store && !w->pte.attrs.writable)
-        return {XlateStatus::NoWrite, w->pte.frame + pageOffset(va)};
-    return {XlateStatus::Ok, w->pte.frame + pageOffset(va)};
+    Addr pa = pageBase(entry) + pageOffset(va);
+    if (type == AccessType::Store && !(entry & tlbWritable))
+        return {XlateStatus::NoWrite, pa};
+    return {XlateStatus::Ok, pa};
 }
 
 bool
@@ -56,13 +101,15 @@ AddressSpace::protectPage(Addr va, const PteAttrs &attrs)
 void
 AddressSpace::tlbInvalidate(Addr va)
 {
-    tlb_.erase(pageBase(va));
+    if (std::uint64_t *entry = tlbFind(va))
+        *entry = 0;
 }
 
 void
 AddressSpace::tlbFlush()
 {
-    tlb_.clear();
+    for (auto &upper : tlb_)
+        upper.reset();
 }
 
 } // namespace stramash

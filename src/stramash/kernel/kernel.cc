@@ -1,5 +1,7 @@
 #include "stramash/kernel/kernel.hh"
 
+#include <algorithm>
+
 #include "stramash/isa/isa.hh"
 
 namespace stramash
@@ -11,6 +13,8 @@ KernelInstance::KernelInstance(Machine &machine, NodeId node,
     : machine_(machine),
       node_(node),
       isa_(machine.node(node).isa()),
+      accessInstructions_(static_cast<ICount>(
+          std::max(1.0, isaDescriptor(isa_).instExpansion))),
       msg_(msg),
       stats_(std::string("kernel.node") + std::to_string(node)),
       palloc_(std::string("palloc.node") + std::to_string(node))

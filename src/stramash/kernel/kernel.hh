@@ -37,6 +37,9 @@ class KernelInstance
 
     NodeId nodeId() const { return node_; }
     IsaType isa() const { return isa_; }
+    /** Instructions one user memory access retires: the ISA's
+     *  expansion, truncated, and at least one. */
+    ICount accessInstructions() const { return accessInstructions_; }
     Machine &machine() { return machine_; }
     MessageLayer &msg() { return msg_; }
     PhysAllocator &palloc() { return palloc_; }
@@ -56,9 +59,6 @@ class KernelInstance
     /** Stable pseudo-address for a keyed structure (hash table
      *  buckets, futex queue heads, VMA nodes...). */
     Addr dataAddrFor(std::uint64_t key) const;
-
-    /** Start of this kernel's data region. */
-    Addr dataRegionBase() const { return dataRegion_.start; }
 
     // ------------------------------------------------------------
     // Task management
@@ -151,7 +151,6 @@ class KernelInstance
     // ------------------------------------------------------------
 
     void setFaultHandler(FaultHandler *h) { faultHandler_ = h; }
-    FaultHandler *faultHandler() { return faultHandler_; }
 
     /**
      * Attach the remote kernel-memory guard and expose this kernel's
@@ -192,6 +191,7 @@ class KernelInstance
     Machine &machine_;
     NodeId node_;
     IsaType isa_;
+    ICount accessInstructions_;
     MessageLayer &msg_;
     StatGroup stats_;
     PhysAllocator palloc_;

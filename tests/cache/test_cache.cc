@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <vector>
+
 #include "stramash/cache/cache.hh"
 #include "stramash/common/units.hh"
 
@@ -29,7 +32,7 @@ TEST(SetAssocCache, MissThenHit)
     c.insert(0x1000, Mesi::Exclusive);
     auto *l = c.probe(0x1000);
     ASSERT_NE(l, nullptr);
-    EXPECT_EQ(l->state, Mesi::Exclusive);
+    EXPECT_EQ(l->state(), Mesi::Exclusive);
     EXPECT_EQ(c.validCount(), 1u);
 }
 
@@ -68,7 +71,7 @@ TEST(SetAssocCache, InsertExistingUpdatesState)
     c.insert(0x40, Mesi::Shared);
     auto victim = c.insert(0x40, Mesi::Modified);
     EXPECT_FALSE(victim.has_value());
-    EXPECT_EQ(c.find(0x40)->state, Mesi::Modified);
+    EXPECT_EQ(c.find(0x40)->state(), Mesi::Modified);
     EXPECT_EQ(c.validCount(), 1u);
 }
 
@@ -123,6 +126,94 @@ TEST(SetAssocCacheDeath, BadGeometry)
     EXPECT_DEATH(SetAssocCache({1024, 2, 48}), "line size");
     // Too small to hold even one full set.
     EXPECT_DEATH(SetAssocCache({128, 4}), "cannot hold one set");
+}
+
+TEST(SetAssocCacheDeath, MoreThanSixteenWays)
+{
+    // The LRU order packs 4-bit way numbers into one word per set.
+    EXPECT_DEATH(SetAssocCache({64_KiB, 32}), "way count above 16");
+}
+
+namespace
+{
+
+/** One 16-way set: every line-aligned address below maps to it. */
+constexpr CacheGeometry oneSet16{16 * cacheLineSize, 16};
+
+Addr
+lineAt(unsigned i)
+{
+    return i * cacheLineSize;
+}
+
+/** Insert @p lines new lines and return the victims, in order. */
+std::vector<Addr>
+victimsOf(SetAssocCache &c, unsigned firstNew, unsigned lines)
+{
+    std::vector<Addr> out;
+    for (unsigned i = firstNew; i < firstNew + lines; ++i) {
+        if (auto v = c.insert(lineAt(i), Mesi::Exclusive))
+            out.push_back(v->lineAddr);
+    }
+    return out;
+}
+
+std::vector<Addr>
+lines(std::initializer_list<unsigned> ids)
+{
+    std::vector<Addr> out;
+    for (unsigned i : ids)
+        out.push_back(lineAt(i));
+    return out;
+}
+
+} // namespace
+
+TEST(SetAssocCache, SixteenWayVictimsFollowHitRefreshes)
+{
+    SetAssocCache c(oneSet16);
+    ASSERT_EQ(c.numSets(), 1u);
+    EXPECT_TRUE(victimsOf(c, 0, 16).empty());
+    for (unsigned i : {0u, 5u, 10u, 5u})
+        ASSERT_NE(c.probe(lineAt(i)), nullptr);
+    // find() is a snoop: it must not refresh line 1.
+    ASSERT_NE(c.find(lineAt(1)), nullptr);
+    EXPECT_EQ(victimsOf(c, 100, 16),
+              lines({1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14, 15, 0, 10,
+                     5}));
+}
+
+TEST(SetAssocCache, SixteenWayVictimsAfterInvalidateAndReinsert)
+{
+    SetAssocCache c(oneSet16);
+    victimsOf(c, 0, 16);
+    // An invalidated way is refilled before any valid line goes, the
+    // lowest invalid way first, and the refill is most recent.
+    EXPECT_EQ(c.invalidate(lineAt(9)), Mesi::Exclusive);
+    EXPECT_EQ(c.invalidate(lineAt(2)), Mesi::Exclusive);
+    EXPECT_EQ(c.invalidate(lineAt(5)), Mesi::Exclusive);
+    EXPECT_FALSE(c.insert(lineAt(9), Mesi::Shared).has_value());
+    EXPECT_TRUE(victimsOf(c, 100, 2).empty());
+    EXPECT_EQ(c.validCount(), 16u);
+    EXPECT_EQ(victimsOf(c, 200, 16),
+              lines({0, 1, 3, 4, 6, 7, 8, 10, 11, 12, 13, 14, 15, 9, 100,
+                     101}));
+}
+
+TEST(SetAssocCache, SixteenWayVictimsAfterFlushAll)
+{
+    SetAssocCache c(oneSet16);
+    victimsOf(c, 0, 16);
+    for (unsigned i : {15u, 3u, 7u})
+        c.probe(lineAt(i));
+    c.flushAll();
+    // The pre-flush recency order is gone: refills take the ways in
+    // order and age in insertion order.
+    EXPECT_TRUE(victimsOf(c, 100, 16).empty());
+    c.probe(lineAt(100));
+    EXPECT_EQ(victimsOf(c, 200, 16),
+              lines({101, 102, 103, 104, 105, 106, 107, 108, 109, 110,
+                     111, 112, 113, 114, 115, 100}));
 }
 
 TEST(SetAssocCache, CachedGeometryMatchesComputed)

@@ -171,6 +171,23 @@ TEST_F(CoherenceTest, FlushAllResetsState)
     EXPECT_EQ(r.level, HitLevel::Memory);
 }
 
+TEST_F(CoherenceTest, SnoopsReachTheL1iAgainAfterFlush)
+{
+    // Coherence walks skip an L1I that has held nothing since the
+    // last flush; a fetch after the flush must bring it back into
+    // every walk.
+    build(MemoryModel::FullyShared);
+    Addr line = 0x9000;
+    domain_->accessLine(0, AccessType::InstFetch, line);
+    domain_->flushAll();
+    domain_->accessLine(0, AccessType::InstFetch, line);
+    ASSERT_TRUE(domain_->hierarchy(0).l1i().holds(line));
+    auto r = domain_->accessLine(1, AccessType::Store, line);
+    EXPECT_TRUE(r.snoopInvalidate);
+    EXPECT_FALSE(domain_->hierarchy(0).l1i().holds(line));
+    EXPECT_EQ(domain_->hierarchy(0).lineState(line), Mesi::Invalid);
+}
+
 TEST_F(CoherenceTest, StatsTrackHitsAndAccesses)
 {
     build(MemoryModel::Separated);
