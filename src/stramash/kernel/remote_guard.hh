@@ -49,7 +49,6 @@ class RemoteAccessGuard
     }
 
     GuardMode mode() const { return mode_; }
-    void setMode(GuardMode m) { mode_ = m; }
 
     /** Owner @p node exposes [start, end) to remote kernels. */
     void

@@ -54,15 +54,6 @@ struct IpiTopologyModel
      */
     static IpiTopologyModel fused(const TopologySpec &spec);
 
-    /** First core id of topology node @p node (clusters are laid out
-     *  in node order). Only meaningful for fused() models, where
-     *  every node contributes coresPerCluster slots. */
-    unsigned
-    firstCoreOfNode(NodeId node) const
-    {
-        return node * coresPerCluster;
-    }
-
     unsigned
     socketOf(unsigned core) const
     {

@@ -224,14 +224,6 @@ class TraceSpan
     TraceSpan(const TraceSpan &) = delete;
     TraceSpan &operator=(const TraceSpan &) = delete;
 
-    /** Attach result arguments discovered mid-span. */
-    void
-    setArgs(std::uint64_t arg0, std::uint64_t arg1)
-    {
-        arg0_ = arg0;
-        arg1_ = arg1;
-    }
-
     ~TraceSpan()
     {
         if (tracer_) {
