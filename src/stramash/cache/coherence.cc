@@ -205,13 +205,13 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
     // node into a scheduled crash and its recovery), so the probes'
     // victim ways do not survive it.
     const std::uint64_t hookRuns = hookRuns_;
-    auto hookMayHaveChangedUs = [&] {
+    auto dropWaysIfHookRan = [&] {
         if (hookRuns_ != hookRuns)
             ways = {};
     };
     bool othersHold = false;
     res.latency += snoopOthers(node, type, lineAddr, res, &othersHold);
-    hookMayHaveChangedUs();
+    dropWaysIfHookRan();
 
     res.memClass = map_.classify(addr, node);
     ++*nc.memAccesses;
@@ -267,7 +267,7 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
                 ++*nc.backInvalidates;
             }
         }
-        hookMayHaveChangedUs();
+        dropWaysIfHookRan();
     });
     filter_.addSharer(lineAddr, node);
     return res;

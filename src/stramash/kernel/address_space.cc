@@ -3,34 +3,6 @@
 namespace stramash
 {
 
-namespace
-{
-
-/** Slot of @p va at TLB radix @p level (0 = leaf). */
-std::size_t
-index(Addr va, unsigned level)
-{
-    return (va >> (pageShift + 9 * level)) & 511;
-}
-
-void
-checkRange(Addr va)
-{
-    panic_if(va >> (pageShift + 4 * 9), "virtual address ", va,
-             " beyond the 48-bit virtual space");
-}
-
-template <typename T>
-T &
-touch(std::unique_ptr<T> &slot)
-{
-    if (!slot)
-        slot = std::make_unique<T>();
-    return *slot;
-}
-
-} // namespace
-
 AddressSpace::AddressSpace(GuestMemory &mem, const PteFormat &fmt,
                            const PteFormat *foreignFmt, FrameAlloc alloc,
                            FrameFree free, Addr lockWordsBase)
@@ -40,29 +12,10 @@ AddressSpace::AddressSpace(GuestMemory &mem, const PteFormat &fmt,
 {
 }
 
-std::uint64_t *
-AddressSpace::tlbFind(Addr va) const
-{
-    checkRange(va);
-    const auto *upper = tlb_[index(va, 3)].get();
-    const auto *mid = upper ? (*upper)[index(va, 2)].get() : nullptr;
-    Leaf *leaf = mid ? (*mid)[index(va, 1)].get() : nullptr;
-    return leaf ? &(*leaf)[index(va, 0)] : nullptr;
-}
-
-std::uint64_t &
-AddressSpace::tlbSlot(Addr va)
-{
-    checkRange(va);
-    auto &upper = touch(tlb_[index(va, 3)]);
-    Leaf &leaf = touch(touch(upper[index(va, 2)])[index(va, 1)]);
-    return leaf[index(va, 0)];
-}
-
 XlateResult
 AddressSpace::translate(Addr va, AccessType type)
 {
-    const std::uint64_t *cached = tlbFind(va);
+    const std::uint64_t *cached = tlb_.find(va);
     std::uint64_t entry = cached ? *cached : 0;
     if (!entry) {
         auto w = pt_->walk(pageBase(va));
@@ -70,7 +23,7 @@ AddressSpace::translate(Addr va, AccessType type)
             return {XlateStatus::NotMapped, 0};
         entry = w->pte.frame | tlbPresent |
                 (w->pte.attrs.writable ? tlbWritable : 0);
-        tlbSlot(va) = entry;
+        tlb_.slot(va) = entry;
     }
     Addr pa = pageBase(entry) + pageOffset(va);
     if (type == AccessType::Store && !(entry & tlbWritable))
@@ -101,15 +54,14 @@ AddressSpace::protectPage(Addr va, const PteAttrs &attrs)
 void
 AddressSpace::tlbInvalidate(Addr va)
 {
-    if (std::uint64_t *entry = tlbFind(va))
+    if (std::uint64_t *entry = tlb_.find(va))
         *entry = 0;
 }
 
 void
 AddressSpace::tlbFlush()
 {
-    for (auto &upper : tlb_)
-        upper.reset();
+    tlb_.clear();
 }
 
 } // namespace stramash

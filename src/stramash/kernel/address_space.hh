@@ -6,19 +6,19 @@
  * design uses (VMA lock, Stramash-PTL).
  *
  * The translation cache is a host memo, not a modelled TLB: page
- * walks are uncharged and it is unbounded. It is a radix tree keyed
- * by virtual page number with 512-entry levels, the GuestMemory
- * directory layout, covering a 48-bit virtual space. Entries go stale
- * exactly like a real TLB's: a page-table change made behind its
- * back needs an explicit invalidate.
+ * walks are uncharged and it is unbounded. It is a PageRadix keyed by
+ * virtual page number, the GuestMemory directory layout, covering a
+ * 48-bit virtual space. Entries go stale exactly like a real TLB's: a
+ * page-table change made behind its back needs an explicit
+ * invalidate.
  */
 
 #ifndef STRAMASH_KERNEL_ADDRESS_SPACE_HH
 #define STRAMASH_KERNEL_ADDRESS_SPACE_HH
 
-#include <array>
 #include <memory>
 
+#include "stramash/common/page_radix.hh"
 #include "stramash/isa/page_table.hh"
 #include "stramash/kernel/vma.hh"
 
@@ -80,25 +80,14 @@ class AddressSpace
     Addr ptlAddr() const { return lockWordsBase_ + 64; }
 
   private:
-    /** A TLB entry: the frame address, with these low bits set. */
+    /** A TLB entry: the frame address, with these low bits set (an
+     *  empty slot is 0). */
     static constexpr std::uint64_t tlbPresent = 1;
     static constexpr std::uint64_t tlbWritable = 2;
 
-    /** One radix level: 512 slots, like a page-table page. */
-    template <typename Child>
-    using Level = std::array<std::unique_ptr<Child>, 512>;
-    /** The entries of one 2 MiB region. */
-    using Leaf = std::array<std::uint64_t, 512>;
-
-    /** The entry slot for @p va, or nullptr if its leaf is absent. */
-    std::uint64_t *tlbFind(Addr va) const;
-    /** The entry slot for @p va, allocating the path to it. */
-    std::uint64_t &tlbSlot(Addr va);
-
     VmaTree vmas_;
     std::unique_ptr<PageTable> pt_;
-    /** Spans 2^48 bytes: 512 GiB, then 1 GiB, then 2 MiB regions. */
-    Level<Level<Level<Leaf>>> tlb_;
+    PageRadix<std::uint64_t> tlb_;
     Addr lockWordsBase_;
 };
 

@@ -8,11 +8,10 @@
  * allocated sparsely in 4 KiB frames so an 8 GiB guest costs only what
  * it touches.
  *
- * Frames hang off a radix directory keyed by frame number, with
- * 512-entry levels like the page tables the simulator models: a
- * lookup is four indexed loads, an untouched read allocates nothing,
- * and each touched 2 MiB region costs one 4 KiB leaf. The four levels
- * cover a 48-bit physical address space.
+ * Frames hang off a PageRadix keyed by frame number: a lookup is four
+ * indexed loads, an untouched read allocates nothing, and each touched
+ * 2 MiB region costs one 4 KiB leaf. The four levels cover a 48-bit
+ * physical address space.
  *
  * GuestMemory is purely functional storage — it has no timing. Timing
  * comes from the cache hierarchy and memory model in cache/ and mem/.
@@ -28,7 +27,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "stramash/common/logging.hh"
+#include "stramash/common/page_radix.hh"
 #include "stramash/common/types.hh"
 
 namespace stramash
@@ -133,60 +132,27 @@ class GuestMemory
   private:
     using Frame = std::array<std::uint8_t, pageSize>;
 
-    /** One directory level: 512 slots, like a page-table page. */
-    template <typename Child>
-    using Level = std::array<std::unique_ptr<Child>, 512>;
-    /** The frames of one 2 MiB region. */
-    using Leaf = Level<Frame>;
-
-    /** Slot of @p addr at @p level (0 = leaf). */
-    static std::size_t
-    index(Addr addr, unsigned level)
-    {
-        return (addr >> (pageShift + 9 * level)) & 511;
-    }
-
-    static void
-    checkRange(Addr addr)
-    {
-        panic_if(addr >> (pageShift + 4 * 9), "guest address ", addr,
-                 " beyond the 48-bit physical space");
-    }
-
     /** The frame holding @p addr, or nullptr if never written. */
     Frame *
     find(Addr addr) const
     {
-        checkRange(addr);
-        const auto *upper = root_[index(addr, 3)].get();
-        const auto *mid = upper ? (*upper)[index(addr, 2)].get() : nullptr;
-        const Leaf *leaf = mid ? (*mid)[index(addr, 1)].get() : nullptr;
-        return leaf ? (*leaf)[index(addr, 0)].get() : nullptr;
-    }
-
-    template <typename T>
-    static T &
-    touch(std::unique_ptr<T> &slot)
-    {
-        if (!slot)
-            slot = std::make_unique<T>();
-        return *slot;
+        const std::unique_ptr<Frame> *slot = frames_.find(addr);
+        return slot ? slot->get() : nullptr;
     }
 
     /** The frame holding @p addr, allocated zeroed on first touch. */
     Frame &
     frame(Addr addr)
     {
-        checkRange(addr);
-        auto &upper = touch(root_[index(addr, 3)]);
-        Leaf &leaf = touch(touch(upper[index(addr, 2)])[index(addr, 1)]);
-        std::unique_ptr<Frame> &slot = leaf[index(addr, 0)];
-        frameCount_ += !slot;
-        return touch(slot);
+        std::unique_ptr<Frame> &slot = frames_.slot(addr);
+        if (!slot) {
+            slot = std::make_unique<Frame>();
+            ++frameCount_;
+        }
+        return *slot;
     }
 
-    /** Spans 2^48 bytes: 512 GiB, then 1 GiB, then 2 MiB regions. */
-    Level<Level<Level<Leaf>>> root_;
+    PageRadix<std::unique_ptr<Frame>> frames_;
     std::size_t frameCount_ = 0;
 };
 

@@ -146,12 +146,12 @@ lineAt(unsigned i)
     return i * cacheLineSize;
 }
 
-/** Insert @p lines new lines and return the victims, in order. */
+/** Insert @p count new lines and return the victims, in order. */
 std::vector<Addr>
-victimsOf(SetAssocCache &c, unsigned firstNew, unsigned lines)
+victimsOf(SetAssocCache &c, unsigned firstNew, unsigned count)
 {
     std::vector<Addr> out;
-    for (unsigned i = firstNew; i < firstNew + lines; ++i) {
+    for (unsigned i = firstNew; i < firstNew + count; ++i) {
         if (auto v = c.insert(lineAt(i), Mesi::Exclusive))
             out.push_back(v->lineAddr);
     }
@@ -207,8 +207,8 @@ TEST(SetAssocCache, SixteenWayVictimsAfterFlushAll)
     for (unsigned i : {15u, 3u, 7u})
         c.probe(lineAt(i));
     c.flushAll();
-    // The pre-flush recency order is gone: refills take the ways in
-    // order and age in insertion order.
+    // The pre-flush recency order no longer matters: refills take
+    // the ways in order and age in insertion order.
     EXPECT_TRUE(victimsOf(c, 100, 16).empty());
     c.probe(lineAt(100));
     EXPECT_EQ(victimsOf(c, 200, 16),
