@@ -7,10 +7,9 @@
  *
  * The translation cache is a host memo, not a modelled TLB: page
  * walks are uncharged and it is unbounded. It is a PageRadix keyed by
- * virtual page number, the GuestMemory directory layout, covering a
- * 48-bit virtual space. Entries go stale exactly like a real TLB's: a
- * page-table change made behind its back needs an explicit
- * invalidate.
+ * virtual page number, covering a 48-bit virtual space. Entries go
+ * stale exactly like a real TLB's: a page-table change made behind its
+ * back needs an explicit invalidate.
  */
 
 #ifndef STRAMASH_KERNEL_ADDRESS_SPACE_HH
