@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Compare a bench JSON against its checked-in baseline.
 
-Every metric emitted by the throughput bench (accesses/sec and
-speedup ratios) is higher-is-better; a current value more than
---tolerance below the baseline fails the check. The default 30%
-margin absorbs hosted-runner variance — the bench itself measures
-process CPU time and keeps the best of three repetitions, so what
-is left to absorb is mostly hardware-generation spread.
+Every baseline metric is higher-is-better; a current value more than
+--tolerance below the baseline fails the check. Metrics the current
+run emits but the baseline lacks are listed and not gated, which is
+how a bench records figures (such as absolute host rates) that no
+fixed floor could hold on a shared runner.
 
 A metric present in the baseline but absent from the current run is
 a failure in its own right (a silently dropped stat is how perf

@@ -1,7 +1,6 @@
 #include "stramash/common/stats.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace stramash
 {
@@ -117,32 +116,6 @@ StatGroup::resetAll()
         kv.second = 0;
     for (auto &kv : histograms_)
         kv.second.reset();
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &kv : counters_)
-        os << name_ << '.' << kv.first << ' ' << kv.second << '\n';
-    for (const auto &kv : histograms_) {
-        const Histogram &h = kv.second;
-        char buf[192];
-        std::snprintf(buf, sizeof(buf),
-                      "hist count=%llu min=%llu max=%llu mean=%.2f "
-                      "p50=%.2f p99=%.2f p999=%.2f",
-                      static_cast<unsigned long long>(h.count()),
-                      static_cast<unsigned long long>(h.minValue()),
-                      static_cast<unsigned long long>(h.maxValue()),
-                      h.mean(), h.percentile(0.50), h.percentile(0.99),
-                      h.percentile(0.999));
-        os << name_ << '.' << kv.first << ' ' << buf << '\n';
-    }
-}
-
-std::map<std::string, std::uint64_t>
-StatGroup::snapshot() const
-{
-    return counters_;
 }
 
 } // namespace stramash

@@ -3,9 +3,8 @@
  * Lightweight statistics collection.
  *
  * Every simulated component owns a StatGroup and registers named
- * counters with it. At the end of a run the groups can be dumped as a
- * flat name=value table, which the bench harnesses post-process into
- * the paper's tables and figures.
+ * counters with it. At the end of a run JsonStatsExporter
+ * (trace/json_stats.hh) writes every group out as JSON.
  */
 
 #ifndef STRAMASH_COMMON_STATS_HH
@@ -13,7 +12,6 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -137,24 +135,7 @@ class StatGroup
     /** Reset every counter and histogram. */
     void resetAll();
 
-    /**
-     * Dump one line per stat, sorted by name. Counters keep the
-     * original two-token format the bench post-processing splits on:
-     *
-     *     group.counter VALUE
-     *
-     * Histogram lines are distinguishable by their "hist" marker
-     * token and carry the distribution summary:
-     *
-     *     group.name hist count=N min=A max=B mean=C p50=D p99=E
-     *         p999=F
-     */
-    void dump(std::ostream &os) const;
-
     const std::string &name() const { return name_; }
-
-    /** Snapshot of all counters, for diffing before/after a phase. */
-    std::map<std::string, std::uint64_t> snapshot() const;
 
     /** All registered counters, sorted by name. */
     const std::map<std::string, Counter> &counters() const
@@ -171,7 +152,7 @@ class StatGroup
   private:
     std::string name_;
     // std::map keeps pointer stability under insertion and gives the
-    // sorted dump order for free.
+    // sorted export order for free.
     std::map<std::string, Counter> counters_;
     std::map<std::string, Histogram> histograms_;
 };

@@ -6,9 +6,9 @@
  * The System consults a Placer (when one is attached) to decide
  * which node a new task should start on, and workloads consult it to
  * pick offload targets. The real implementation lives in
- * stramash/sched — core only sees this interface, which keeps the
- * library layering acyclic (core cannot depend on sched, because
- * sched depends on core).
+ * stramash/sched. core only sees this interface: a System runs with
+ * no Placer attached, and the policies stay inside sched/, which is
+ * built on top of core/.
  */
 
 #ifndef STRAMASH_CORE_PLACEMENT_HH

@@ -46,10 +46,9 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
             {base, base + ShmMessageLayer::paperAreaBytes});
         msg_ = std::make_unique<ShmMessageLayer>(
             *machine_, base, ShmMessageLayer::paperAreaBytes,
-            cfg.useIpiNotification, cfg.msgCosts);
+            cfg.useIpiNotification);
     } else {
-        msg_ = std::make_unique<TcpMessageLayer>(*machine_,
-                                                 cfg.msgCosts);
+        msg_ = std::make_unique<TcpMessageLayer>(*machine_);
     }
 
     guard_ = std::make_unique<RemoteAccessGuard>(cfg.remoteGuard);
@@ -351,8 +350,10 @@ void
 System::forEachStatGroup(
     const std::function<void(const StatGroup &)> &fn)
 {
-    for (NodeId n = 0; n < machine_->nodeCount(); ++n)
+    for (NodeId n = 0; n < machine_->nodeCount(); ++n) {
         fn(machine_->node(n).stats());
+        fn(machine_->caches().nodeStats(n));
+    }
     fn(msg_->stats());
     fn(guard_->stats());
     for (auto &k : kernels_) {

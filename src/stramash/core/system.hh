@@ -58,7 +58,6 @@ struct SystemConfig
     /** Wire the fused global memory allocator (fused design only). */
     bool enableGlobalAllocator = true;
     GmaConfig gma{};
-    MsgCosts msgCosts{};
     /** Cross-layer event tracing (off by default; zero-ish cost). */
     TraceConfig trace{};
     /** Fault-injection plan (stramash/fault). Absent = nothing is
@@ -220,8 +219,8 @@ class System
 
     /**
      * Write every registered StatGroup (kernels, page allocators,
-     * message layer, per-node machine stats, GMA when present) as one
-     * JSON document.
+     * message layer, per-node machine and cache stats, GMA when
+     * present) as one JSON document.
      */
     bool writeStatsJson(const std::string &path);
 

@@ -434,9 +434,8 @@ MessageLayer::resetCounters()
 // ===================== ShmMessageLayer ===============================
 
 ShmMessageLayer::ShmMessageLayer(Machine &machine, Addr areaBase,
-                                 Addr areaBytes, bool useIpi,
-                                 MsgCosts costs)
-    : MessageLayer(machine), useIpi_(useIpi), costs_(costs),
+                                 Addr areaBytes, bool useIpi)
+    : MessageLayer(machine), useIpi_(useIpi),
       nodes_(machine.nodeCount()), rings_(nodes_ * nodes_)
 {
     // One ring per ordered node pair, splitting the area evenly.
@@ -533,8 +532,8 @@ ShmMessageLayer::transportReceive(NodeId node)
 
 // ===================== TcpMessageLayer ===============================
 
-TcpMessageLayer::TcpMessageLayer(Machine &machine, MsgCosts costs)
-    : MessageLayer(machine), costs_(costs)
+TcpMessageLayer::TcpMessageLayer(Machine &machine)
+    : MessageLayer(machine)
 {
 }
 

@@ -43,7 +43,7 @@ namespace stramash
 
 /**
  * Per-message CPU costs not covered by the memory system. The
- * defaults reflect measured Popcorn-Linux messaging behaviour: a
+ * values reflect measured Popcorn-Linux messaging behaviour: a
  * message is not just the IPI (2 us) but interrupt handling, work
  * queue scheduling, handler execution and marshalling — of the order
  * of 10 us of kernel time end to end.
@@ -270,7 +270,7 @@ class ShmMessageLayer final : public MessageLayer
      * @param useIpi    IPI notification (true) or polling (false)
      */
     ShmMessageLayer(Machine &machine, Addr areaBase, Addr areaBytes,
-                    bool useIpi, MsgCosts costs = {});
+                    bool useIpi);
 
     /**
      * The paper's placement rule for the messaging area under each
@@ -299,7 +299,7 @@ class ShmMessageLayer final : public MessageLayer
 
   private:
     bool useIpi_;
-    MsgCosts costs_;
+    const MsgCosts costs_{};
     std::size_t nodes_;
     /** Ring from -> to at [from * nodes_ + to]; null on the diagonal. */
     std::vector<std::unique_ptr<MessageRing>> rings_;
@@ -310,14 +310,14 @@ class ShmMessageLayer final : public MessageLayer
 class TcpMessageLayer final : public MessageLayer
 {
   public:
-    explicit TcpMessageLayer(Machine &machine, MsgCosts costs = {});
+    explicit TcpMessageLayer(Machine &machine);
 
   protected:
     Errc transportSend(const Message &msg) override;
     std::optional<Message> transportReceive(NodeId node) override;
 
   private:
-    MsgCosts costs_;
+    const MsgCosts costs_{};
     std::map<NodeId, std::deque<Message>> queues_;
 };
 

@@ -75,8 +75,7 @@ Machine::Machine(const MachineConfig &cfg)
         seen[nc.id] = true;
     }
 
-    bool sharedLlc = cfg_.memoryModel == MemoryModel::FullyShared &&
-                     cfg_.sharedLlcWhenFullyShared;
+    bool sharedLlc = cfg_.memoryModel == MemoryModel::FullyShared;
     CacheGeometry sharedGeom{cfg_.l3Size, 16};
     domain_ = std::make_unique<CoherenceDomain>(
         map_, cfg_.snoopCosts, sharedLlc ? &sharedGeom : nullptr);

@@ -35,11 +35,10 @@ struct MachineConfig
      * used, exactly as before the topology refactor.
      */
     std::optional<TopologySpec> topology;
-    /** Per-node private L3 size (ignored when the model fully shares
-     *  a single LLC). 4 MiB in Fig. 9, 32 MiB in Fig. 10. */
+    /** Per-node private L3 size; FullyShared instead uses one shared
+     *  LLC of this size (paper AE notes). 4 MiB in Fig. 9, 32 MiB in
+     *  Fig. 10. */
     Addr l3Size = 4 * 1024 * 1024;
-    /** FullyShared uses one shared LLC (paper AE notes). */
-    bool sharedLlcWhenFullyShared = true;
     SnoopCosts snoopCosts{};
     /** Cross-ISA IPI latency in microseconds (paper: 2 us). */
     double crossIsaIpiUs = 2.0;

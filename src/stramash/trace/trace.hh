@@ -13,8 +13,7 @@
  *
  *  1. Near-zero cost when disabled: one predictable branch per
  *     potential event (`Tracer::enabledFor`), no allocation, no
- *     clock read. Compiling with -DSTRAMASH_TRACE_DISABLED removes
- *     the span macro entirely.
+ *     clock read.
  *  2. Bounded memory: each node owns a preallocated ring of POD
  *     records; when full the oldest record is overwritten and a
  *     dropped-events counter advances.
@@ -94,24 +93,16 @@ struct TraceEvent
     std::uint64_t arg1;
 };
 
-/** Anything that can absorb a stream of trace events. */
-class TraceSink
-{
-  public:
-    virtual ~TraceSink() = default;
-    virtual void record(const TraceEvent &ev) = 0;
-};
-
 /**
  * A preallocated drop-oldest ring of events. Single-threaded, like
  * the rest of the simulator: record() is a couple of stores.
  */
-class TraceBuffer final : public TraceSink
+class TraceBuffer
 {
   public:
     explicit TraceBuffer(std::size_t capacity);
 
-    void record(const TraceEvent &ev) override;
+    void record(const TraceEvent &ev);
 
     std::size_t capacity() const { return ring_.size(); }
     /** Events currently held (<= capacity). */
@@ -243,19 +234,12 @@ class TraceSpan
     std::uint64_t arg1_ = 0;
 };
 
-// Span macro: compiles out entirely under -DSTRAMASH_TRACE_DISABLED.
+// Span macro: one uniquely named TraceSpan for the enclosing scope.
 #define STRAMASH_TRACE_CONCAT2(a, b) a##b
 #define STRAMASH_TRACE_CONCAT(a, b) STRAMASH_TRACE_CONCAT2(a, b)
-
-#ifndef STRAMASH_TRACE_DISABLED
 #define STRAMASH_TRACE_SPAN(...)                                           \
     ::stramash::TraceSpan STRAMASH_TRACE_CONCAT(stramashTraceSpan_,        \
                                                 __LINE__)(__VA_ARGS__)
-#else
-#define STRAMASH_TRACE_SPAN(...)                                           \
-    do {                                                                   \
-    } while (0)
-#endif
 
 } // namespace stramash
 

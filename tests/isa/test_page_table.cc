@@ -35,8 +35,10 @@ class PageTableTest : public testing::TestWithParam<IsaType>
     Addr nextFrame_;
     const PteFormat &fmt_;
     const PteFormat &other_;
-    std::unique_ptr<PageTable> pt_;
+    // Declared before pt_: ~PageTable frees its tables through the
+    // callback, which must still find freed_ alive.
     std::vector<Addr> freed_;
+    std::unique_ptr<PageTable> pt_;
 
     PteAttrs
     rw()

@@ -173,3 +173,21 @@ TEST(Npb, FtTriggersRemoteAllocations)
     makeNpbKernel("is")->run(app2, tinyConfig(true));
     EXPECT_LT(sys2.replicatedPages(), sys.replicatedPages() / 2);
 }
+
+TEST(Npb, StatsExportCarriesCacheCounters)
+{
+    // writeStatsJson and every bench's --stats-json export what
+    // forEachStatGroup visits; the cache plugin's per-node hits,
+    // snoops and write-backs must be among it.
+    SystemConfig cfg;
+    System sys(cfg);
+    App app(sys, 0);
+    makeNpbKernel("is")->run(app, tinyConfig(true));
+    const StatGroup *cache0 = nullptr;
+    sys.forEachStatGroup([&](const StatGroup &g) {
+        if (g.name() == "cache.node0")
+            cache0 = &g;
+    });
+    ASSERT_NE(cache0, nullptr);
+    EXPECT_GT(cache0->value("l1_accesses"), 0u);
+}
