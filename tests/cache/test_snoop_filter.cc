@@ -19,6 +19,7 @@
 #include "stramash/cache/snoop_filter.hh"
 #include "stramash/common/rng.hh"
 #include "stramash/common/units.hh"
+#include "fnv.hh"
 
 using namespace stramash;
 
@@ -296,33 +297,6 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, Differential,
     testing::Combine(testing::Values(7u, 42u, 1234u),
                      testing::Bool()));
-
-namespace
-{
-
-/** FNV-1a over a stream of integers. */
-struct Fnv
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-
-    void
-    add(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    }
-
-    void
-    add(const std::string &s)
-    {
-        for (char c : s)
-            add(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-    }
-};
-
-} // namespace
 
 /**
  * Golden output of the cache model. The differential test above runs

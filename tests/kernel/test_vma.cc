@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "stramash/kernel/vma.hh"
 
 using namespace stramash;
@@ -72,17 +75,27 @@ TEST(VmaTree, ForEachAscending)
 
 TEST(VmaTree, FindCountingReportsDepth)
 {
-    VmaTree t;
-    for (Addr i = 0; i < 64; ++i)
-        t.insert(mkVma(i * 0x10000, i * 0x10000 + 0x1000));
-    unsigned visited = 0;
-    const Vma *v = t.findCounting(5 * 0x10000 + 0x500, visited);
-    ASSERT_NE(v, nullptr);
-    EXPECT_EQ(v->start, 5 * 0x10000u);
-    // log2(64) + 1 = 7-ish nodes.
-    EXPECT_GE(visited, 5u);
-    EXPECT_LE(visited, 9u);
-    EXPECT_TRUE(t.checkInvariants());
+    // The remote VMA walker charges one line read per visited node:
+    // exactly the depth of a balanced tree, 1 + floor(log2 n).
+    const std::pair<unsigned, unsigned> cases[] = {
+        {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4}, {1000, 10}};
+    for (auto [n, depth] : cases) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        VmaTree t;
+        for (Addr i = 0; i < n; ++i)
+            t.insert(mkVma(i * 0x10000, i * 0x10000 + 0x1000));
+        Addr hit = n / 2;
+        unsigned visited = 0;
+        const Vma *v = t.findCounting(hit * 0x10000 + 0x500, visited);
+        ASSERT_NE(v, nullptr);
+        EXPECT_EQ(v->start, hit * 0x10000);
+        EXPECT_EQ(visited, depth);
+        // A miss walks the same depth.
+        visited = 0;
+        EXPECT_EQ(t.findCounting(hit * 0x10000 + 0x1000, visited),
+                  nullptr);
+        EXPECT_EQ(visited, depth);
+    }
 }
 
 TEST(VmaTree, PageAttrsFollowProtection)
