@@ -1,5 +1,9 @@
 #include "stramash/kernel/vma.hh"
 
+#include <iterator>
+
+#include "stramash/common/logging.hh"
+
 namespace stramash
 {
 
@@ -34,56 +38,39 @@ VmaTree::insert(const Vma &vma)
     panic_if(pageOffset(vma.start) || pageOffset(vma.end),
              "VMA must be page aligned");
     // Overlap check against the nearest neighbours.
-    auto *pred = tree_.floor(vma.start);
-    if (pred && pred->value.end > vma.start)
+    auto succ = tree_.lower_bound(vma.start);
+    if (succ != tree_.end() && succ->second.start < vma.end)
         return false;
-    auto *succ = tree_.lowerBound(vma.start);
-    if (succ && succ->value.start < vma.end)
+    if (succ != tree_.begin() && std::prev(succ)->second.end > vma.start)
         return false;
-    auto [node, inserted] = tree_.insert(vma.start, vma);
-    (void)node;
-    return inserted;
+    tree_.emplace_hint(succ, vma.start, vma);
+    return true;
 }
 
 bool
 VmaTree::remove(Addr start)
 {
-    return tree_.eraseKey(start);
+    return tree_.erase(start) != 0;
 }
 
 const Vma *
 VmaTree::find(Addr addr) const
 {
-    auto *n = tree_.floor(addr);
-    if (!n)
+    auto it = tree_.upper_bound(addr);
+    if (it == tree_.begin())
         return nullptr;
-    return n->value.contains(addr) ? &n->value : nullptr;
+    const Vma &v = std::prev(it)->second;
+    return v.contains(addr) ? &v : nullptr;
 }
 
 const Vma *
 VmaTree::findCounting(Addr addr, unsigned &nodesVisited) const
 {
-    // Reproduce floor()'s descent, counting visited nodes so the
-    // remote walker can charge per-node access costs.
-    nodesVisited = 0;
-    const Vma *best = nullptr;
-    // Re-walk using find() semantics over the tree interface: we
-    // exploit forEach-free navigation via lowerBound/floor would not
-    // count, so descend manually through lowerBound on successive
-    // keys. Simplest faithful approach: binary descent emulation.
-    // The RbTree interface hides nodes' children, so emulate with
-    // floor() plus a log2(size) visit estimate.
-    auto *n = tree_.floor(addr);
-    std::size_t sz = tree_.size();
-    unsigned depth = 1;
-    while (sz > 1) {
-        sz >>= 1;
-        ++depth;
-    }
-    nodesVisited = depth;
-    if (n && n->value.contains(addr))
-        best = &n->value;
-    return best;
+    // One node per level of a balanced tree of this size.
+    nodesVisited = 1;
+    for (std::size_t sz = tree_.size(); sz > 1; sz >>= 1)
+        ++nodesVisited;
+    return find(addr);
 }
 
 } // namespace stramash

@@ -1,17 +1,17 @@
 /**
  * @file
- * Virtual memory areas, kept in a red-black tree exactly as the
- * modelled Linux 5.2 kernel does (paper §6.4: "the VMA lists are
- * still maintained using the RB-tree structure").
+ * Virtual memory areas, kept in an ordered map keyed by start address
+ * (a red-black tree in libstdc++ and libc++), as the modelled Linux
+ * 5.2 kernel keeps them in an RB-tree (paper §6.4).
  */
 
 #ifndef STRAMASH_KERNEL_VMA_HH
 #define STRAMASH_KERNEL_VMA_HH
 
+#include <map>
 #include <string>
 
 #include "stramash/isa/pte_format.hh"
-#include "stramash/rbtree/rbtree.hh"
 
 namespace stramash
 {
@@ -64,20 +64,21 @@ class VmaTree
     void
     forEach(Fn &&fn) const
     {
-        tree_.forEach([&](const Addr &, const Vma &v) { fn(v); });
+        for (const auto &[start, v] : tree_)
+            fn(v);
     }
 
     /**
-     * Like find(), but counts the tree nodes visited — the remote
-     * VMA walker charges one cache access per visited node.
+     * Like find(), and reports the depth of a balanced tree of this
+     * size, 1 + floor(log2(size())): the nodes the remote VMA walker
+     * charges one cache access each for.
      */
     const Vma *findCounting(Addr addr, unsigned &nodesVisited) const;
 
     std::size_t size() const { return tree_.size(); }
-    bool checkInvariants() const { return tree_.checkInvariants(); }
 
   private:
-    RbTree<Addr, Vma> tree_; // keyed by start address
+    std::map<Addr, Vma> tree_; // keyed by start address
 };
 
 } // namespace stramash
