@@ -455,23 +455,6 @@ ShmMessageLayer::ShmMessageLayer(Machine &machine, Addr areaBase,
 }
 
 Addr
-ShmMessageLayer::paperAreaBase(MemoryModel model)
-{
-    switch (model) {
-      case MemoryModel::Separated:
-        // In x86 local memory: local for x86, remote for Arm.
-        return 1_GiB;
-      case MemoryModel::Shared:
-        // In the CXL pool: remote for both.
-        return 4_GiB;
-      case MemoryModel::FullyShared:
-        // Everything is local anyway.
-        return 1_GiB;
-    }
-    panic("unknown MemoryModel");
-}
-
-Addr
 ShmMessageLayer::areaBaseFor(const PhysMap &map, Addr areaBytes)
 {
     if (map.model() == MemoryModel::Shared) {

@@ -272,23 +272,15 @@ class ShmMessageLayer final : public MessageLayer
     ShmMessageLayer(Machine &machine, Addr areaBase, Addr areaBytes,
                     bool useIpi);
 
-    /**
-     * The paper's placement rule for the messaging area under each
-     * hardware model (§8.2): Separated → x86-local (Arm pays remote),
-     * Shared → the pool (both pay remote), FullyShared → local to
-     * both. Hard-wired to the Figure-4 layout; N-node machines use
-     * areaBaseFor().
-     */
-    static Addr paperAreaBase(MemoryModel model);
     static constexpr Addr paperAreaBytes = 128 * 1024 * 1024;
 
     /**
-     * The same placement rule expressed against an arbitrary PhysMap:
-     * Shared → the start of the pool; otherwise inside node 0's boot
-     * strip, 1 GiB in when the strip is large enough (which makes it
-     * land exactly on paperAreaBase() for the paper layout) and
-     * flush with the strip's end otherwise. Panics when the area
-     * does not fit.
+     * The paper's placement rule for the messaging area (§8.2),
+     * expressed against any PhysMap: Shared → the start of the pool
+     * (remote for every node); otherwise inside node 0's boot strip
+     * (local to node 0, and under FullyShared local to all), 1 GiB in
+     * when the strip is large enough and flush with the strip's end
+     * otherwise. Panics when the area does not fit.
      */
     static Addr areaBaseFor(const PhysMap &map,
                             Addr areaBytes = paperAreaBytes);

@@ -24,8 +24,7 @@ struct Rig
         machine = std::make_unique<Machine>(mc);
         if (shm) {
             layer = std::make_unique<ShmMessageLayer>(
-                *machine, ShmMessageLayer::paperAreaBase(
-                              MemoryModel::Shared),
+                *machine, ShmMessageLayer::areaBaseFor(machine->physMap()),
                 ShmMessageLayer::paperAreaBytes, true);
         } else {
             layer = std::make_unique<TcpMessageLayer>(*machine);
@@ -232,7 +231,7 @@ TEST(ResilientMsg, ShmRingOverflowReturnsRingFull)
     // A 64 KiB area across two directed rings leaves a handful of
     // 4 KiB + header slots per ring.
     ShmMessageLayer layer(
-        machine, ShmMessageLayer::paperAreaBase(MemoryModel::Shared),
+        machine, ShmMessageLayer::areaBaseFor(machine.physMap()),
         64 * 1024, false);
 
     Message m;

@@ -29,8 +29,7 @@ class TransportBoth : public testing::TestWithParam<Transport>
     {
         if (GetParam() == Transport::SharedMemory) {
             layer_ = std::make_unique<ShmMessageLayer>(
-                machine_, ShmMessageLayer::paperAreaBase(
-                              MemoryModel::Shared),
+                machine_, ShmMessageLayer::areaBaseFor(machine_.physMap()),
                 ShmMessageLayer::paperAreaBytes, true);
         } else {
             layer_ = std::make_unique<TcpMessageLayer>(machine_);
@@ -163,13 +162,14 @@ TEST(ShmTransport, PollingModeSkipsIpi)
 
 TEST(ShmTransport, PaperPlacementRules)
 {
-    EXPECT_EQ(ShmMessageLayer::paperAreaBase(MemoryModel::Separated),
-              1_GiB);
-    EXPECT_EQ(ShmMessageLayer::paperAreaBase(MemoryModel::Shared),
-              4_GiB);
-    EXPECT_EQ(
-        ShmMessageLayer::paperAreaBase(MemoryModel::FullyShared),
-        1_GiB);
+    // Separated: x86-local, so Arm pays remote. Shared: the CXL pool,
+    // remote for both. FullyShared: local to both.
+    auto base = [](MemoryModel m) {
+        return ShmMessageLayer::areaBaseFor(PhysMap::paperDefault(m));
+    };
+    EXPECT_EQ(base(MemoryModel::Separated), 1_GiB);
+    EXPECT_EQ(base(MemoryModel::Shared), 4_GiB);
+    EXPECT_EQ(base(MemoryModel::FullyShared), 1_GiB);
     EXPECT_EQ(ShmMessageLayer::paperAreaBytes, 128_MiB);
 }
 
