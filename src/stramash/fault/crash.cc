@@ -560,20 +560,11 @@ CrashManager::adoptTaskFused(Pid pid, NodeId dead, NodeId survivor)
         // Tagged entries in the dead table decode in their recorded
         // writer's format (N-node machines can have several foreign
         // writers); unrecorded tags default to the adopter's format.
-        const PteFormat *hostFmt = &t->as->pageTable().format();
+        const PteFormat &hostFmt = t->as->pageTable().format();
         TaggedFmtFn taggedFmtOf = [&](Addr va) -> const PteFormat * {
-            if (shared_) {
-                auto pit = shared_->foreignMapped.find(pid);
-                if (pit != shared_->foreignMapped.end()) {
-                    auto vit = pit->second.find(pageBase(va));
-                    if (vit != pit->second.end()) {
-                        return isaDescriptor(
-                                   machine_.node(vit->second).isa())
-                            .pteFormat;
-                    }
-                }
-            }
-            return hostFmt;
+            return shared_ ? &taggedWriterFormat(*shared_, machine_, pid,
+                                                 pageBase(va), hostFmt)
+                           : &hostFmt;
         };
         kh.remoteAccess(dead, AccessType::Store,
                         tdead->as->ptlAddr(), 8);

@@ -5,15 +5,6 @@
 namespace stramash
 {
 
-namespace
-{
-
-/**
- * The PTE format a tagged (foreign-inserted) leaf entry was written
- * in: the recorded writer node's native format, or @p fallback when
- * no record exists (single untracked insertion — decode as the
- * calling remote kernel's own format, the historical two-node rule).
- */
 const PteFormat &
 taggedWriterFormat(const StramashShared &shared, Machine &machine,
                    Pid pid, Addr vpage, const PteFormat &fallback)
@@ -28,8 +19,6 @@ taggedWriterFormat(const StramashShared &shared, Machine &machine,
     }
     return fallback;
 }
-
-} // namespace
 
 // ===================== StramashFaultHandler ==========================
 
