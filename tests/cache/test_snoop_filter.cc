@@ -19,6 +19,7 @@
 #include "stramash/cache/snoop_filter.hh"
 #include "stramash/common/rng.hh"
 #include "stramash/common/units.hh"
+#include "stramash/mem/topology.hh"
 #include "fnv.hh"
 
 using namespace stramash;
@@ -307,8 +308,10 @@ INSTANTIATE_TEST_SUITE_P(
  * and shared LLCs under two memory models. The tiny geometry (2- and
  * 4-way) forces eviction churn everywhere; the paper geometry (8-way
  * L1s, 16-way L2 and L3) pins full 16-way replacement order, once
- * with a data-only trace that never fills the L1I. Any refactor of
- * cache/hierarchy/coherence must leave these hashes unchanged.
+ * with a data-only trace that never fills the L1I. Two four-node
+ * runs pin which peers each snoop and back-invalidation reaches. Any
+ * refactor of cache/hierarchy/coherence must leave these hashes
+ * unchanged.
  */
 TEST(CacheGolden, OutputMatchesRecordedHashes)
 {
@@ -316,51 +319,59 @@ TEST(CacheGolden, OutputMatchesRecordedHashes)
     struct Config
     {
         Trace trace;
+        unsigned nodes;
         bool sharedLlc;
         MemoryModel model;
         std::uint64_t resultsHash;
         std::uint64_t countersHash;
     };
     const Config configs[] = {
-        {Trace::Tiny, false, MemoryModel::Separated,
+        {Trace::Tiny, 2, false, MemoryModel::Separated,
          0x8d53d1e3b42d9df1ull, 0x2b27766c4b659fa6ull},
-        {Trace::Tiny, false, MemoryModel::FullyShared,
+        {Trace::Tiny, 2, false, MemoryModel::FullyShared,
          0x4b69e59f3ff15a29ull, 0x7d1b0d467791dd1aull},
-        {Trace::Tiny, true, MemoryModel::Separated,
+        {Trace::Tiny, 2, true, MemoryModel::Separated,
          0x25e10872910ec917ull, 0x441466a29a0bd68bull},
-        {Trace::Tiny, true, MemoryModel::FullyShared,
+        {Trace::Tiny, 2, true, MemoryModel::FullyShared,
          0x55c6630e82bb0c6bull, 0x95a2e414492c363dull},
-        {Trace::Paper, false, MemoryModel::Separated,
+        {Trace::Paper, 2, false, MemoryModel::Separated,
          0x9a0dd72e7f4b1250ull, 0x7b50ac1694d779e9ull},
-        {Trace::Paper, true, MemoryModel::FullyShared,
+        {Trace::Paper, 2, true, MemoryModel::FullyShared,
          0x8974e9ce11cec596ull, 0xa8313d6d9b2b117full},
-        {Trace::PaperDataOnly, false, MemoryModel::Separated,
+        {Trace::PaperDataOnly, 2, false, MemoryModel::Separated,
          0xf9826dd240d19c35ull, 0x276818a81a60e8d6ull},
-        {Trace::PaperDataOnly, true, MemoryModel::FullyShared,
+        {Trace::PaperDataOnly, 2, true, MemoryModel::FullyShared,
          0xdeb18191b80d63a1ull, 0x09c8a04ce124a22bull},
+        {Trace::Tiny, 4, false, MemoryModel::Separated,
+         0x75721629919a3632ull, 0x121b7bead1856002ull},
+        {Trace::Tiny, 4, true, MemoryModel::FullyShared,
+         0x4c0e182851fb7277ull, 0x0e603e53fbd858f6ull},
     };
 
     for (const Config &cfg : configs) {
         bool paper = cfg.trace != Trace::Tiny;
-        SCOPED_TRACE(std::string(paper ? "paper" : "tiny") +
-                     " geometry, " +
+        SCOPED_TRACE(std::to_string(cfg.nodes) + " nodes, " +
+                     (paper ? "paper" : "tiny") + " geometry, " +
                      (cfg.trace == Trace::PaperDataOnly ? "data-only, "
                                                         : "") +
                      (cfg.sharedLlc ? "shared" : "private") + " LLC, " +
                      memoryModelName(cfg.model));
-        PhysMap map = PhysMap::paperDefault(cfg.model);
+        TopologySpec topo =
+            cfg.nodes == 2 ? TopologySpec::paperPair(cfg.model)
+                           : TopologySpec::alternating(cfg.nodes, cfg.model);
+        PhysMap map = PhysMap::generate(topo);
         CacheGeometry shared =
             paper ? CacheGeometry{4_MiB, 16} : CacheGeometry{16_KiB, 4};
         HierarchyGeometry geom =
             paper ? HierarchyGeometry::paperDefault(4_MiB) : tinyGeom();
         CoherenceDomain d(map, SnoopCosts{},
                           cfg.sharedLlc ? &shared : nullptr);
-        d.addNode(0, geom, latencyProfile(CoreModel::XeonGold));
-        d.addNode(1, geom, latencyProfile(CoreModel::ThunderX2));
+        for (const TopologyNode &n : topo.nodes)
+            d.addNode(n.id, geom, latencyProfile(n.core));
         auto trace = [&](std::uint64_t seed, std::size_t count) {
             return paper ? paperTrace(seed, count,
                                       cfg.trace == Trace::PaperDataOnly)
-                         : randomTrace(seed, 2, count, 64_KiB);
+                         : randomTrace(seed, cfg.nodes, count, 64_KiB);
         };
 
         Fnv results;
@@ -382,7 +393,7 @@ TEST(CacheGolden, OutputMatchesRecordedHashes)
             run(d.accessLine(op.node, op.type, op.addr));
 
         Fnv counters;
-        for (NodeId n = 0; n < 2; ++n) {
+        for (NodeId n = 0; n < cfg.nodes; ++n) {
             for (const auto &[name, value] : d.nodeStats(n).counters()) {
                 counters.add(name);
                 counters.add(value);

@@ -10,7 +10,10 @@
  *    Popcorn's DSM and VMA replication over SHM and TCP);
  *  - one fused and one Popcorn whole-process migration;
  *  - one fused crash recovery, which copies the dead kernel's VMAs
- *    and adopts its page-table entries.
+ *    and adopts its page-table entries;
+ *  - fused and Popcorn NPB IS on a cached four-node machine, whose
+ *    offload hops visit every peer, so coherence snoops reach three
+ *    other hierarchies.
  *
  * A refactor must leave every hash unchanged. A deliberate model
  * change re-records them: the failure message prints the new value.
@@ -119,6 +122,46 @@ processMigrationDigest(OsDesign design)
     return digest(sys);
 }
 
+/** Sends successive offload hops to nodes 1, 2, ..., n-1, 1, ... */
+class PeerCycle final : public Placer
+{
+  public:
+    explicit PeerCycle(unsigned nodes) : nodes_(nodes) {}
+
+    NodeId place(const PlacementHints &) override { return 0; }
+
+    NodeId
+    offloadTarget(NodeId, const PlacementHints &) override
+    {
+        next_ = next_ % (nodes_ - 1) + 1;
+        return next_;
+    }
+
+  private:
+    unsigned nodes_;
+    NodeId next_ = 0;
+};
+
+/** NPB IS from node 0 of a cached four-node machine, offloading its
+ *  ranking procedure to each peer in turn. */
+std::uint64_t
+fourNodeIsDigest(OsDesign design)
+{
+    SystemConfig cfg;
+    cfg.osDesign = design;
+    cfg.topology = TopologySpec::alternating(4, MemoryModel::Shared);
+    System sys(cfg);
+    App app(sys, 0);
+    PeerCycle placer(4);
+    NpbConfig ncfg;
+    ncfg.iterations = 4;
+    ncfg.problemBytes = 256_KiB;
+    ncfg.placer = &placer;
+    sys.resetExperimentCounters();
+    EXPECT_TRUE(makeNpbKernel("is")->run(app, ncfg).verified);
+    return digest(sys);
+}
+
 } // namespace
 
 TEST_P(GoldenFig9, MatchesRecordedHash)
@@ -206,4 +249,16 @@ TEST(Golden, FusedCrashRecovery)
     EXPECT_GE(sys.crashManager()->recovery().value("pages_adopted"), 1u);
     std::uint64_t h = digest(sys);
     EXPECT_EQ(h, 0x2d67889290fcdccaull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, FusedFourNodeIs)
+{
+    std::uint64_t h = fourNodeIsDigest(OsDesign::FusedKernel);
+    EXPECT_EQ(h, 0x727fc2c80b4df145ull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, PopcornFourNodeIs)
+{
+    std::uint64_t h = fourNodeIsDigest(OsDesign::MultipleKernel);
+    EXPECT_EQ(h, 0xf1cf900f45797806ull) << std::hex << "hash 0x" << h;
 }
