@@ -15,7 +15,7 @@
  * measures one batch steal end to end in each design:
  *
  *   - fused: no messages; the cost is coherent cache traffic, and the
- *     snoop-filter counters must show the lines moving.
+ *     snoop counters must show the lines moving.
  *   - Popcorn: a StealRequest/StealResponse round-trip through the
  *     transport; the message counter must show it.
  *

@@ -1,6 +1,5 @@
 #include "stramash/cache/coherence.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "stramash/trace/trace.hh"
@@ -20,9 +19,8 @@ void
 CoherenceDomain::addNode(NodeId node, const HierarchyGeometry &geom,
                          const LatencyProfile &profile)
 {
-    panic_if(node >= SnoopFilter::maxNodes,
-             "coherence domain supports NodeIds below ",
-             SnoopFilter::maxNodes, ", got ", node);
+    panic_if(node >= maxNodes, "coherence domain supports NodeIds below ",
+             maxNodes, ", got ", node);
     if (node >= nodes_.size())
         nodes_.resize(node + 1);
     panic_if(nodes_[node].registered(), "node ", node,
@@ -47,9 +45,6 @@ CoherenceDomain::addNode(NodeId node, const HierarchyGeometry &geom,
     nc.snoopDatas = &nc.stats->counter("snoop_datas");
     nc.writebacks = &nc.stats->counter("writebacks");
     nc.backInvalidates = &nc.stats->counter("back_invalidates");
-    nodeIds_.insert(
-        std::upper_bound(nodeIds_.begin(), nodeIds_.end(), node),
-        node);
     allNodesMask_ |= std::uint32_t{1} << node;
 }
 
@@ -68,13 +63,12 @@ CoherenceDomain::hierarchy(NodeId node)
 void
 CoherenceDomain::flushAll()
 {
-    for (NodeId id : nodeIds_)
-        nodes_[id].hier->flushAll();
+    for (NodeCtx &nc : nodes_) {
+        if (nc.registered())
+            nc.hier->flushAll();
+    }
     if (sharedLlc_)
         sharedLlc_->flushAll();
-    // Every presence bit went stale-present; drop them all rather
-    // than letting the next accesses probe emptied hierarchies.
-    filter_.clear();
 }
 
 void
@@ -99,35 +93,31 @@ CoherenceDomain::snoopOthers(NodeId node, AccessType type, Addr lineAddr,
 {
     if (othersHold)
         *othersHold = false;
-    std::uint32_t candidates = snoopCandidates(node, lineAddr);
-    if (!candidates)
-        return 0; // private-data common case: nobody to probe
     Cycles extra = 0;
     NodeCtx &self = nodes_[node];
-    while (candidates) {
-        auto otherId =
-            static_cast<NodeId>(std::countr_zero(candidates));
-        candidates &= candidates - 1;
+    std::uint32_t peers = peersOf(node);
+    while (peers) {
+        auto otherId = static_cast<NodeId>(std::countr_zero(peers));
+        peers &= peers - 1;
         CacheHierarchy &other = *nodes_[otherId].hier;
+        // A private last level includes the inner ones, so one set
+        // search rules out most peers; a shared LLC gives no private
+        // superset, and the walk below answers instead.
+        if (!sharedLlc_ && !other.holds(lineAddr))
+            continue;
         // Snoop Invalidate: all other holders drop the line (paper
         // §7.3). A read keeps the holder's copy, downgraded M/E -> S.
         Mesi prior = type == AccessType::Store
                          ? other.invalidateLine(lineAddr)
                          : other.downgradeLine(lineAddr);
-        if (prior == Mesi::Invalid) {
-            // Directory false positive (an aliased line, or a copy
-            // that left silently): just skip. No "repair" — the
-            // filter's counters are shared between aliasing lines,
-            // so an unpaired decrement could hide a real holder.
+        if (prior == Mesi::Invalid)
             continue;
-        }
         // Read snoops never remove the line from the holder (a
         // downgrade keeps it Shared), so for loads "held before the
         // snoop" is exactly "held after" — the fill-state answer.
         if (othersHold)
             *othersHold = true;
         if (type == AccessType::Store) {
-            filter_.removeSharer(lineAddr, otherId);
             evicted(otherId, lineAddr, prior == Mesi::Modified);
             extra += snoopCosts_.snoopInvalidate;
             res.snoopInvalidate = true;
@@ -184,14 +174,6 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
 
     AccessResult res;
     res.level = hier.lookupFromL2(lineAddr, inst, ways);
-
-    // A shared-LLC hit promotes the line into this node's private
-    // levels without a fill() — for the directory that is a private
-    // install, so the presence bit must be set here or a later store
-    // by another node would miss this copy.
-    if (res.level == HitLevel::L3 && hier.usesSharedL3())
-        filter_.addSharer(lineAddr, node);
-
     if (res.level != HitLevel::Memory) {
         res.latency =
             nc.profile.levelLatency(static_cast<int>(res.level));
@@ -239,29 +221,21 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
         fillState = othersHold ? Mesi::Shared : Mesi::Exclusive;
 
     hier.fill(lineAddr, fillState, inst, ways,
-              [&](Addr victim, bool dirty, bool hadInner) {
-        // With a private LLC the victim always leaves this node; with
-        // a shared LLC it only leaves *this* node's private hierarchy
-        // if an inner level still held it — decrementing otherwise
-        // would unpair the presence count (and could hide an aliased
-        // real holder).
-        if (!sharedLlc_ || hadInner)
-            filter_.removeSharer(victim, node);
+              [&](Addr victim, bool dirty) {
         evicted(node, victim, dirty);
         if (sharedLlc_) {
             // A shared-LLC eviction removes the line from every
             // node's private levels to preserve inclusion — a
             // Back-Invalidate Snoop in CXL terms (§7.3), charged to
             // the access that caused the eviction.
-            std::uint32_t cands = snoopCandidates(node, victim);
-            while (cands) {
+            std::uint32_t peers = peersOf(node);
+            while (peers) {
                 auto otherId =
-                    static_cast<NodeId>(std::countr_zero(cands));
-                cands &= cands - 1;
+                    static_cast<NodeId>(std::countr_zero(peers));
+                peers &= peers - 1;
                 Mesi prior = nodes_[otherId].hier->invalidateLine(victim);
                 if (prior == Mesi::Invalid)
-                    continue; // false positive: no repair (aliasing)
-                filter_.removeSharer(victim, otherId);
+                    continue;
                 evicted(otherId, victim, prior == Mesi::Modified);
                 res.latency += snoopCosts_.backInvalidate;
                 ++*nc.backInvalidates;
@@ -269,7 +243,6 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
         }
         dropWaysIfHookRan();
     });
-    filter_.addSharer(lineAddr, node);
     return res;
 }
 

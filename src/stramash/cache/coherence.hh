@@ -17,15 +17,11 @@
  *   4. returns the total latency, which the caller adds to the
  *      node's icount-based timebase.
  *
- * This is the simulator's hottest loop, so it is built as a
- * directory-filtered fast path rather than a broadcast protocol:
- * node contexts live in a dense vector indexed by NodeId, an L1 hit
- * returns without ever consulting another node, and cross-node
- * actions consult a SnoopFilter directory so only nodes whose
- * presence bit is set get their hierarchy probed. Broadcast probing
- * (the pre-directory behaviour) is kept behind setBroadcastMode()
- * as the reference for differential testing; both modes must produce
- * byte-identical AccessResults and statistics.
+ * This is the simulator's hottest loop: node contexts live in a
+ * dense vector indexed by NodeId, an L1 hit returns without ever
+ * consulting another node, and a snoop round skips every peer whose
+ * private last level does not hold the line (one set search, exact by
+ * inclusion; see CacheHierarchy::holds).
  */
 
 #ifndef STRAMASH_CACHE_COHERENCE_HH
@@ -36,7 +32,6 @@
 #include <vector>
 
 #include "stramash/cache/hierarchy.hh"
-#include "stramash/cache/snoop_filter.hh"
 #include "stramash/common/stats.hh"
 #include "stramash/mem/latency_profile.hh"
 #include "stramash/mem/phys_map.hh"
@@ -62,6 +57,9 @@ using WritebackHook = std::function<void(NodeId, Addr)>;
 class CoherenceDomain
 {
   public:
+    /** Most nodes a domain holds: one bit each in a 32-bit mask. */
+    static constexpr unsigned maxNodes = 32;
+
     /**
      * @param map        the physical memory layout and model
      * @param snoopCosts CXL coherence action costs
@@ -87,10 +85,10 @@ class CoherenceDomain
 
     /**
      * The node's hierarchy, for tests and the Ruby comparison.
-     * Callers may *remove* lines directly (the snoop-filter directory
-     * stays a conservative superset); installing lines behind the
-     * domain's back would break filtering and must go through
-     * access()/accessLine().
+     * Callers may change line states or remove lines directly.
+     * Installing lines must go through access()/accessLine(): a line
+     * put into an inner level behind the domain's back breaks the
+     * inclusion that snoop rounds rely on to skip a peer.
      */
     CacheHierarchy &hierarchy(NodeId node);
 
@@ -109,19 +107,6 @@ class CoherenceDomain
 
     /** True when one shared LLC serves all nodes. */
     bool hasSharedLlc() const { return sharedLlc_ != nullptr; }
-
-    /**
-     * Broadcast mode disables the snoop-filter directory and probes
-     * every other node's hierarchy on each coherence action — the
-     * pre-directory reference behaviour. Timing, AccessResults and
-     * statistics must be identical in both modes; only simulator
-     * wall-clock differs (see bench_throughput).
-     */
-    void setBroadcastMode(bool broadcast) { broadcast_ = broadcast; }
-    bool broadcastMode() const { return broadcast_; }
-
-    /** The sharer-presence directory, exposed for invariant tests. */
-    const SnoopFilter &snoopFilter() const { return filter_; }
 
   private:
     struct NodeCtx
@@ -146,12 +131,9 @@ class CoherenceDomain
     std::unique_ptr<SetAssocCache> sharedLlc_;
     /** Dense, indexed by NodeId; unregistered slots have no hier. */
     std::vector<NodeCtx> nodes_;
-    /** Registered node ids, ascending (broadcast iteration order). */
-    std::vector<NodeId> nodeIds_;
-    /** Bit per registered node. */
+    /** Bit per registered node; snoop rounds visit peers in
+     *  ascending id order. */
     std::uint32_t allNodesMask_ = 0;
-    SnoopFilter filter_;
-    bool broadcast_ = false;
     WritebackHook hook_;
     /** Times hook_ ran: an access compares it across its callouts. */
     std::uint64_t hookRuns_ = 0;
@@ -166,14 +148,11 @@ class CoherenceDomain
         return nodes_[node];
     }
 
-    /** Nodes other than @p node that may hold @p lineAddr. */
+    /** Registered nodes other than @p node, one bit each. */
     std::uint32_t
-    snoopCandidates(NodeId node, Addr lineAddr) const
+    peersOf(NodeId node) const
     {
-        std::uint32_t mask = broadcast_
-                                 ? allNodesMask_
-                                 : filter_.sharers(lineAddr);
-        return mask & ~(std::uint32_t{1} << node);
+        return allNodesMask_ & ~(std::uint32_t{1} << node);
     }
 
     /**
@@ -181,8 +160,7 @@ class CoherenceDomain
      * When @p othersHold is non-null it is set to whether any other
      * node's hierarchy still holds the line after the snoop round —
      * the load-miss fill-state question (Shared vs Exclusive),
-     * answered here so the miss path consults the directory and each
-     * candidate hierarchy exactly once.
+     * answered here so the miss path probes each peer exactly once.
      */
     Cycles snoopOthers(NodeId node, AccessType type, Addr lineAddr,
                        AccessResult &res, bool *othersHold = nullptr);

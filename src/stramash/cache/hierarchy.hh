@@ -127,15 +127,10 @@ class CacheHierarchy
      * Install a line in every level in @p state, at the victim ways
      * of @p ways (see VictimWays).
      * Evicted victims are reported through @p onEvict (line address,
-     * dirty, hadInner) — only last-level victims are reported, since
-     * those are the ones leaving the node entirely. @p hadInner tells
-     * whether an inner (pre-LLC) level still held the victim when it
-     * was evicted: with a *shared* LLC that distinguishes "this
-     * node's private copy is gone" from "the line left the shared
-     * cache but this node never privately held it", which the
-     * coherence directory needs to keep its presence counts paired.
+     * dirty) — only last-level victims are reported, since those are
+     * the ones leaving the node entirely.
      *
-     * @p onEvict is any callable `(Addr, bool, bool)`, or nullptr.
+     * @p onEvict is any callable `(Addr, bool)`, or nullptr.
      * If it may change this hierarchy, it must reset @p ways.
      * Taking it as a template parameter keeps the per-fill cost at a
      * direct (inlinable) call — the hot loop fills on every miss, and
@@ -159,9 +154,7 @@ class CacheHierarchy
                 ways = {};
             if constexpr (!std::is_null_pointer_v<
                               std::decay_t<OnEvict>>) {
-                onEvict(v->lineAddr,
-                        v->dirty || inner == Mesi::Modified,
-                        inner != Mesi::Invalid);
+                onEvict(v->lineAddr, v->dirty || inner == Mesi::Modified);
             }
         }
         if (llc_ != &l2())

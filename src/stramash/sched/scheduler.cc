@@ -343,7 +343,7 @@ Scheduler::chargeStealPath(NodeId thief, NodeId victim,
     if (sys_.config().osDesign == OsDesign::FusedKernel) {
         // Coherent-memory steal: read the victim's queue anchor,
         // claim the tail with a store, pull one line per item. The
-        // cost is pure cache traffic — the snoop filter sees every
+        // cost is pure cache traffic — the snoop counters see every
         // cross-node line move; the message layer sees nothing.
         KernelInstance &vk = sys_.kernel(victim);
         m.dataAccess(thief, AccessType::Load,

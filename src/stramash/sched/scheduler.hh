@@ -21,7 +21,7 @@
  *   - FusedKernel: the thief pops the victim's run queue directly
  *     out of coherent shared memory — a load of the queue anchor, a
  *     claiming store, and one line per stolen item. No messages; the
- *     cost is cache traffic, visible in the snoop-filter counters.
+ *     cost is cache traffic, visible in the snoop counters.
  *   - MultipleKernel (Popcorn): nothing is shared, so the thief pays
  *     a StealRequest/StealResponse RPC round-trip through the
  *     transport, riding the resilient retry/backoff machinery.

@@ -27,6 +27,18 @@ class CoherenceTest : public testing::Test
     std::unique_ptr<CoherenceDomain> domain_;
 };
 
+/** Tiny hierarchy, so a few conflicting lines force evictions. */
+HierarchyGeometry
+tinyGeom()
+{
+    HierarchyGeometry g;
+    g.l1i = {1_KiB, 2};
+    g.l1d = {1_KiB, 2};
+    g.l2 = {4_KiB, 4};
+    g.l3 = {16_KiB, 4};
+    return g;
+}
+
 } // namespace
 
 TEST_F(CoherenceTest, ColdMissPaysLocalMemoryLatency)
@@ -200,12 +212,98 @@ TEST_F(CoherenceTest, StatsTrackHitsAndAccesses)
     EXPECT_EQ(s.value("local_mem_hits"), 1u);
 }
 
+/**
+ * Evicting a line from the shared LLC back-invalidates every node's
+ * private copy, including one a node picked up through a shared-LLC
+ * hit rather than a fill, and charges the evicting access.
+ */
+TEST(CoherenceTinyCaches, SharedLlcEvictionBackInvalidatesEveryCopy)
+{
+    PhysMap map = PhysMap::paperDefault(MemoryModel::FullyShared);
+    // 4 KiB 2-way shared LLC: 32 sets; lines 2 KiB apart collide.
+    CacheGeometry shared{4_KiB, 2};
+    CoherenceDomain d(map, SnoopCosts{}, &shared);
+    d.addNode(0, tinyGeom(), latencyProfile(CoreModel::XeonGold));
+    d.addNode(1, tinyGeom(), latencyProfile(CoreModel::ThunderX2));
+
+    Addr a = 0x100000;
+    d.accessLine(0, AccessType::Load, a);
+    EXPECT_EQ(d.accessLine(1, AccessType::Load, a).level, HitLevel::L3);
+    ASSERT_TRUE(d.hierarchy(0).holds(a));
+    ASSERT_TRUE(d.hierarchy(1).holds(a));
+
+    // Fill the same shared-LLC set from node 1 until `a` is evicted.
+    Addr stride = 2_KiB;
+    for (int i = 1; i <= 2; ++i)
+        d.accessLine(1, AccessType::Load, a + stride * i);
+    EXPECT_FALSE(d.hierarchy(0).holds(a));
+    EXPECT_FALSE(d.hierarchy(1).holds(a));
+    EXPECT_GT(d.nodeStats(1).value("back_invalidates"), 0u);
+}
+
+/**
+ * After node 0's copy ages out of its private LLC, a store by node 1
+ * finds no holder, and node 0's next read pays Snoop Data against
+ * node 1's now-dirty copy.
+ */
+TEST(CoherenceTinyCaches, AgedOutLineSkipsSnoopUntilNextRead)
+{
+    PhysMap map = PhysMap::paperDefault(MemoryModel::FullyShared);
+    CoherenceDomain d(map, SnoopCosts{});
+    d.addNode(0, tinyGeom(), latencyProfile(CoreModel::XeonGold));
+    d.addNode(1, tinyGeom(), latencyProfile(CoreModel::ThunderX2));
+
+    Addr a = 0x200000;
+    d.accessLine(0, AccessType::Load, a);
+    // Stream conflicting lines on node 0 until `a` leaves its L3
+    // (16 KiB, 4-way: 64 sets, 4 KiB stride aliases the set).
+    Addr stride = 4_KiB;
+    for (int i = 1; i <= 8 && d.hierarchy(0).holds(a); ++i)
+        d.accessLine(0, AccessType::Load, a + stride * i);
+    ASSERT_FALSE(d.hierarchy(0).holds(a));
+
+    auto r1 = d.accessLine(1, AccessType::Store, a);
+    EXPECT_FALSE(r1.snoopInvalidate);
+    auto r0 = d.accessLine(0, AccessType::Load, a);
+    EXPECT_TRUE(r0.snoopData);
+    EXPECT_EQ(d.hierarchy(1).lineState(a), Mesi::Shared);
+}
+
+/** After flushAll, a store to a line another node used to own pays
+ *  no snoop and installs Modified. */
+TEST(CoherenceTinyCaches, StoreAfterFlushAllPaysNoPhantomSnoop)
+{
+    PhysMap map = PhysMap::paperDefault(MemoryModel::FullyShared);
+    CoherenceDomain d(map, SnoopCosts{});
+    d.addNode(0, tinyGeom(), latencyProfile(CoreModel::XeonGold));
+    d.addNode(1, tinyGeom(), latencyProfile(CoreModel::ThunderX2));
+
+    d.accessLine(0, AccessType::Store, 0x5000);
+    d.accessLine(1, AccessType::Load, 0x9000);
+    d.flushAll();
+
+    auto r = d.accessLine(1, AccessType::Store, 0x5000);
+    EXPECT_FALSE(r.snoopInvalidate);
+    EXPECT_EQ(d.hierarchy(1).lineState(0x5000), Mesi::Modified);
+    EXPECT_FALSE(d.hierarchy(0).holds(0x5000));
+}
+
 TEST(CoherenceDeath, UnknownNodePanics)
 {
     PhysMap map = PhysMap::paperDefault(MemoryModel::Separated);
     CoherenceDomain d(map, SnoopCosts{});
     EXPECT_DEATH(d.accessLine(3, AccessType::Load, 0x1000),
                  "unknown node");
+}
+
+TEST(CoherenceDeath, NodeIdBeyondTheMaskPanics)
+{
+    PhysMap map = PhysMap::paperDefault(MemoryModel::Separated);
+    CoherenceDomain d(map, SnoopCosts{});
+    EXPECT_DEATH(d.addNode(CoherenceDomain::maxNodes,
+                           HierarchyGeometry::paperDefault(4_MiB),
+                           latencyProfile(CoreModel::XeonGold)),
+                 "supports NodeIds below");
 }
 
 TEST(CoherenceDeath, ZeroSizeAccessPanics)

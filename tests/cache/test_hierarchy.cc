@@ -82,7 +82,7 @@ TEST(CacheHierarchy, LastLevelEvictionBackInvalidatesInner)
     CacheHierarchy h(0, g, stats);
     Addr stride = 1_KiB;
     std::vector<Addr> evicted;
-    auto onEvict = [&](Addr a, bool, bool) { evicted.push_back(a); };
+    auto onEvict = [&](Addr a, bool) { evicted.push_back(a); };
     h.fill(0x0, Mesi::Exclusive, false, onEvict);
     EXPECT_TRUE(h.l1d().holds(0x0));
     h.fill(stride, Mesi::Exclusive, false, onEvict);
@@ -99,7 +99,7 @@ TEST(CacheHierarchy, DirtyEvictionReported)
     g.l3 = {1_KiB, 1};
     CacheHierarchy h(0, g, stats);
     bool sawDirty = false;
-    auto onEvict = [&](Addr, bool dirty, bool) { sawDirty = dirty; };
+    auto onEvict = [&](Addr, bool dirty) { sawDirty = dirty; };
     h.fill(0x0, Mesi::Modified, false, onEvict);
     h.fill(1_KiB, Mesi::Exclusive, false, onEvict);
     EXPECT_TRUE(sawDirty);
@@ -170,11 +170,8 @@ TEST(CacheHierarchy, SharedL3KeepsL1OnlyCopiesVisible)
     ASSERT_TRUE(h.usesSharedL3());
     EXPECT_FALSE(h.hasL3());
 
-    std::vector<std::pair<Addr, bool>> evicted; // (line, hadInner)
-    auto onEvict = [&](Addr a, bool dirty, bool hadInner) {
-        EXPECT_EQ(dirty, hadInner) << "line 0x" << std::hex << a;
-        evicted.emplace_back(a, hadInner);
-    };
+    std::vector<std::pair<Addr, bool>> evicted; // (line, dirty)
+    auto onEvict = [&](Addr a, bool dirty) { evicted.emplace_back(a, dirty); };
     // 0x0 and 1 KiB share the direct-mapped L2 set, but the 2-way
     // L1D keeps both.
     h.fill(0x0, Mesi::Modified, false, onEvict);
@@ -187,7 +184,7 @@ TEST(CacheHierarchy, SharedL3KeepsL1OnlyCopiesVisible)
 
     // Push 0x0 out of the shared L3 with instruction fetches, which
     // leave the L1D alone: its L1-only copy is back-invalidated and
-    // reported as an inner, dirty copy.
+    // its Modified state makes the victim dirty.
     for (int i = 1; i <= 16; ++i)
         h.fill(i * 4_KiB, Mesi::Exclusive, true, onEvict);
     ASSERT_EQ(evicted.size(), 1u);
@@ -195,7 +192,7 @@ TEST(CacheHierarchy, SharedL3KeepsL1OnlyCopiesVisible)
     EXPECT_FALSE(h.holds(0x0));
 
     // A line in the shared L3 and in no private level (its private
-    // copies were snooped away) leaves without an inner copy.
+    // copies were snooped away) leaves clean.
     Addr y = 64; // shared-L3 set 1
     h.fill(y, Mesi::Exclusive, false, onEvict);
     EXPECT_EQ(h.invalidateLine(y), Mesi::Exclusive);
