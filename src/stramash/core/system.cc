@@ -208,10 +208,7 @@ System::spawn(NodeId origin)
 {
     Pid pid = nextPid_++;
     kernel(origin).createTask(pid, origin);
-    if (popcornMigration_)
-        popcornMigration_->trackTask(pid, origin);
-    if (stramashMigration_)
-        stramashMigration_->trackTask(pid, origin);
+    migrationPolicy_->trackTask(pid, origin);
     return pid;
 }
 
@@ -315,9 +312,7 @@ System::healLink(NodeId a, NodeId b)
 NodeId
 System::whereIs(Pid pid) const
 {
-    if (popcornMigration_)
-        return popcornMigration_->currentNode(pid);
-    return stramashMigration_->currentNode(pid);
+    return migrationPolicy_->currentNode(pid);
 }
 
 void

@@ -193,20 +193,6 @@ PopcornMigrationPolicy::installHandlers(KernelInstance &k)
 }
 
 void
-PopcornMigrationPolicy::trackTask(Pid pid, NodeId origin)
-{
-    current_[pid] = origin;
-}
-
-NodeId
-PopcornMigrationPolicy::currentNode(Pid pid) const
-{
-    auto it = current_.find(pid);
-    panic_if(it == current_.end(), "untracked task ", pid);
-    return it->second;
-}
-
-void
 PopcornMigrationPolicy::migrate(Pid pid, NodeId dest)
 {
     NodeId src = currentNode(pid);
@@ -238,7 +224,7 @@ PopcornMigrationPolicy::migrate(Pid pid, NodeId dest)
         return;
     }
 
-    current_[pid] = dest;
+    setCurrentNode(pid, dest);
 }
 
 void
@@ -351,7 +337,7 @@ PopcornMigrationPolicy::migrateProcess(Pid pid, NodeId dest)
     //    keep consistent, §5).
     engine_.forgetTask(pid);
     ks.destroyTask(pid);
-    current_[pid] = dest;
+    setCurrentNode(pid, dest);
 }
 
 void

@@ -76,9 +76,6 @@ class PopcornMigrationPolicy final : public MigrationPolicy
 
     void installHandlers(KernelInstance &k);
 
-    /** Record a freshly spawned task (running at its origin). */
-    void trackTask(Pid pid, NodeId origin);
-
     void migrate(Pid pid, NodeId dest) override;
 
     /** Whole-process transfer: register state, every VMA and every
@@ -94,24 +91,6 @@ class PopcornMigrationPolicy final : public MigrationPolicy
 
     void resetCounters() override { engine_.resetCounters(); }
 
-    NodeId currentNode(Pid pid) const override;
-
-    void
-    setCurrentNode(Pid pid, NodeId node) override
-    {
-        current_[pid] = node;
-    }
-
-    void forgetTask(Pid pid) override { current_.erase(pid); }
-
-    void
-    forEachTask(
-        const std::function<void(Pid, NodeId)> &fn) const override
-    {
-        for (const auto &[pid, node] : current_)
-            fn(pid, node);
-    }
-
     /** Fixed cost of the state-transformation runtime, per side. */
     static constexpr Cycles transformCycles = 2000;
 
@@ -119,7 +98,6 @@ class PopcornMigrationPolicy final : public MigrationPolicy
     MessageLayer &msg_;
     KernelLookup kernels_;
     DsmEngine &engine_;
-    std::map<Pid, NodeId> current_;
 
     void onTaskMigrate(KernelInstance &k, const Message &m);
     void onProcessMigrate(KernelInstance &k, const Message &m);

@@ -316,20 +316,6 @@ StramashMigrationPolicy::installHandlers(KernelInstance &k)
 }
 
 void
-StramashMigrationPolicy::trackTask(Pid pid, NodeId origin)
-{
-    current_[pid] = origin;
-}
-
-NodeId
-StramashMigrationPolicy::currentNode(Pid pid) const
-{
-    auto it = current_.find(pid);
-    panic_if(it == current_.end(), "untracked task ", pid);
-    return it->second;
-}
-
-void
 StramashMigrationPolicy::migrate(Pid pid, NodeId dest)
 {
     NodeId src = currentNode(pid);
@@ -371,7 +357,7 @@ StramashMigrationPolicy::migrate(Pid pid, NodeId dest)
         return;
     }
 
-    current_[pid] = dest;
+    setCurrentNode(pid, dest);
 }
 
 void
@@ -467,7 +453,7 @@ StramashMigrationPolicy::migrateProcess(Pid pid, NodeId dest)
 
     shared_.foreignMapped.erase(pid);
     ks.destroyTask(pid);
-    current_[pid] = dest;
+    setCurrentNode(pid, dest);
     kd.stats().counter("process_migrations_in") += 1;
 }
 

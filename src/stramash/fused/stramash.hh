@@ -134,7 +134,6 @@ class StramashMigrationPolicy final : public MigrationPolicy
                             StramashShared &shared);
 
     void installHandlers(KernelInstance &k);
-    void trackTask(Pid pid, NodeId origin);
     void migrate(Pid pid, NodeId dest) override;
 
     /** Whole-process migration, fused style: the destination walks
@@ -151,31 +150,12 @@ class StramashMigrationPolicy final : public MigrationPolicy
 
     void resetCounters() override { shared_.resetCounters(); }
 
-    NodeId currentNode(Pid pid) const override;
-
-    void
-    setCurrentNode(Pid pid, NodeId node) override
-    {
-        current_[pid] = node;
-    }
-
-    void forgetTask(Pid pid) override { current_.erase(pid); }
-
-    void
-    forEachTask(
-        const std::function<void(Pid, NodeId)> &fn) const override
-    {
-        for (const auto &[pid, node] : current_)
-            fn(pid, node);
-    }
-
     static constexpr Cycles transformCycles = 2000;
 
   private:
     MessageLayer &msg_;
     KernelLookup kernels_;
     StramashShared &shared_;
-    std::map<Pid, NodeId> current_;
 
     void onTaskMigrate(KernelInstance &k, const Message &m);
 

@@ -10,7 +10,9 @@
 #define STRAMASH_KERNEL_POLICY_HH
 
 #include <functional>
+#include <map>
 
+#include "stramash/common/logging.hh"
 #include "stramash/kernel/address_space.hh"
 #include "stramash/kernel/task.hh"
 
@@ -80,22 +82,37 @@ class MigrationPolicy
 
     // ---- thread-location bookkeeping ----
     // Both designs track where each task's thread currently runs;
-    // crash recovery needs to read and rewrite that record through
-    // the common interface (re-home a task whose node died, forget a
-    // reaped one).
+    // crash recovery reads and rewrites that record (re-home a task
+    // whose node died, forget a reaped one).
+
+    /** Record a freshly spawned task (running at its origin). */
+    void trackTask(Pid pid, NodeId origin) { current_[pid] = origin; }
 
     /** Node the task's thread currently runs on. */
-    virtual NodeId currentNode(Pid pid) const = 0;
+    NodeId
+    currentNode(Pid pid) const
+    {
+        auto it = current_.find(pid);
+        panic_if(it == current_.end(), "untracked task ", pid);
+        return it->second;
+    }
 
     /** Rewrite the location record without moving any state. */
-    virtual void setCurrentNode(Pid pid, NodeId node) = 0;
+    void setCurrentNode(Pid pid, NodeId node) { current_[pid] = node; }
 
     /** Drop the location record (task reaped). */
-    virtual void forgetTask(Pid pid) = 0;
+    void forgetTask(Pid pid) { current_.erase(pid); }
 
-    /** Visit every tracked (pid, current node) pair. */
-    virtual void forEachTask(
-        const std::function<void(Pid, NodeId)> &fn) const = 0;
+    /** Visit every tracked (pid, current node) pair, in pid order. */
+    void
+    forEachTask(const std::function<void(Pid, NodeId)> &fn) const
+    {
+        for (const auto &[pid, node] : current_)
+            fn(pid, node);
+    }
+
+  private:
+    std::map<Pid, NodeId> current_;
 };
 
 } // namespace stramash
