@@ -21,7 +21,7 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
             ? MachineConfig::fromTopology(*cfg.topology, cfg.l3Size)
             : MachineConfig::paperPair(cfg.memoryModel, cfg.l3Size);
     // The spec owns the memory model on the topology path.
-    cfg_.memoryModel = mc.memoryModel;
+    cfg_.memoryModel = mc.topology.memoryModel;
     mc.crossIsaIpiUs = cfg.crossIsaIpiUs;
     mc.cachePluginEnabled = cfg.cachePluginEnabled;
     mc.streamMlp = cfg.streamMlp;

@@ -8,85 +8,39 @@ namespace stramash
 MachineConfig
 MachineConfig::paperPair(MemoryModel model, Addr l3Size)
 {
-    MachineConfig cfg;
-    cfg.memoryModel = model;
-    cfg.l3Size = l3Size;
-    cfg.nodes = {
-        {0, IsaType::X86_64, CoreModel::XeonGold, 1},
-        {1, IsaType::AArch64, CoreModel::ThunderX2, 1},
-    };
-    return cfg;
+    return fromTopology(TopologySpec::paperPair(model), l3Size);
 }
 
 MachineConfig
 MachineConfig::fromTopology(const TopologySpec &spec, Addr l3Size)
 {
-    spec.validate();
     MachineConfig cfg;
-    cfg.memoryModel = spec.memoryModel;
-    cfg.l3Size = l3Size;
-    cfg.nodes.reserve(spec.nodeCount());
-    for (const auto &n : spec.nodes)
-        cfg.nodes.push_back({n.id, n.isa, n.core, n.numCores});
     cfg.topology = spec;
+    cfg.l3Size = l3Size;
     return cfg;
 }
 
-namespace
-{
-
-PhysMap
-buildPhysMap(const MachineConfig &cfg)
-{
-    return cfg.topology ? PhysMap::generate(*cfg.topology)
-                        : PhysMap::paperDefault(cfg.memoryModel);
-}
-
-} // namespace
-
+// PhysMap::generate validates the topology first: at least one node,
+// ids dense {0..n-1}, which the per-node tables below index by.
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg),
-      map_(buildPhysMap(cfg)),
-      tracer_(cfg.trace, cfg.nodes.size(),
+      map_(PhysMap::generate(cfg.topology)),
+      tracer_(cfg.trace, cfg.topology.nodeCount(),
               [this](NodeId n) { return node(n).cycles(); })
 {
-    fatal_if(cfg_.nodes.empty(), "machine needs at least one node");
-    if (cfg_.topology) {
-        fatal_if(cfg_.topology->memoryModel != cfg_.memoryModel,
-                 "machine: memoryModel disagrees with the topology "
-                 "spec (use MachineConfig::fromTopology)");
-        fatal_if(cfg_.topology->nodeCount() != cfg_.nodes.size(),
-                 "machine: node list disagrees with the topology spec "
-                 "(use MachineConfig::fromTopology)");
-        for (const auto &nc : cfg_.nodes) {
-            const TopologyNode *tn = cfg_.topology->nodeById(nc.id);
-            fatal_if(!tn || tn->isa != nc.isa || tn->core != nc.core,
-                     "machine: node ", nc.id, " disagrees with the "
-                     "topology spec (use MachineConfig::fromTopology)");
-        }
-    }
-    // Per-node tables below (IPI counters, tracer tracks) index by
-    // NodeId, so ids must be dense {0..n-1}.
-    std::vector<bool> seen(cfg_.nodes.size(), false);
-    for (const auto &nc : cfg_.nodes) {
-        fatal_if(nc.id >= cfg_.nodes.size() || seen[nc.id],
-                 "machine: node ids must be dense and unique (id ",
-                 nc.id, " in a ", cfg_.nodes.size(), "-node machine)");
-        seen[nc.id] = true;
-    }
-
-    bool sharedLlc = cfg_.memoryModel == MemoryModel::FullyShared;
+    bool sharedLlc =
+        cfg_.topology.memoryModel == MemoryModel::FullyShared;
     CacheGeometry sharedGeom{cfg_.l3Size, 16};
     domain_ = std::make_unique<CoherenceDomain>(
         map_, cfg_.snoopCosts, sharedLlc ? &sharedGeom : nullptr);
 
-    for (const auto &nc : cfg_.nodes) {
+    for (const TopologyNode &tn : cfg_.topology.nodes) {
         auto geom = HierarchyGeometry::paperDefault(cfg_.l3Size);
-        const LatencyProfile &prof = latencyProfile(nc.core);
+        const LatencyProfile &prof = latencyProfile(tn.core);
         if (prof.l3 == 0)
             geom.l3.sizeBytes = 0; // e.g. Cortex-A72: no L3
-        domain_->addNode(nc.id, geom, prof);
-        nodes_.push_back(std::make_unique<Node>(nc));
+        domain_->addNode(tn.id, geom, prof);
+        nodes_.push_back(std::make_unique<Node>(tn));
     }
     byId_.assign(nodes_.size(), nullptr);
     for (auto &n : nodes_)

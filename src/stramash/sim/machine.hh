@@ -16,6 +16,7 @@
 #include "stramash/fault/fault.hh"
 #include "stramash/mem/guest_memory.hh"
 #include "stramash/mem/phys_map.hh"
+#include "stramash/mem/topology.hh"
 #include "stramash/sim/node.hh"
 #include "stramash/trace/trace.hh"
 
@@ -25,16 +26,9 @@ namespace stramash
 /** Whole-machine configuration. */
 struct MachineConfig
 {
-    MemoryModel memoryModel = MemoryModel::Shared;
-    std::vector<NodeConfig> nodes;
-    /**
-     * N-node topology. When set, the physical memory map is generated
-     * from it (PhysMap::generate) and `nodes`/`memoryModel` must
-     * agree with it — fromTopology() fills all three consistently.
-     * When absent, the paper's hard-wired two-node Figure-4 layout is
-     * used, exactly as before the topology refactor.
-     */
-    std::optional<TopologySpec> topology;
+    /** The nodes, the memory model and the physical layout
+     *  (PhysMap::generate). */
+    TopologySpec topology;
     /** Per-node private L3 size; FullyShared instead uses one shared
      *  LLC of this size (paper AE notes). 4 MiB in Fig. 9, 32 MiB in
      *  Fig. 10. */
@@ -55,12 +49,12 @@ struct MachineConfig
      *  nothing is ever injected and the sites cost one branch. */
     std::optional<FaultPlan> faultPlan;
 
-    /** The evaluation's default pair: x86 Xeon Gold + Arm ThunderX2. */
+    /** The evaluation's default pair: x86 Xeon Gold + Arm ThunderX2
+     *  (TopologySpec::paperPair). */
     static MachineConfig paperPair(MemoryModel model,
                                    Addr l3Size = 4 * 1024 * 1024);
 
-    /** Build a consistent config (nodes + memory model + map) from a
-     *  topology spec. */
+    /** A machine of the given topology, other knobs at defaults. */
     static MachineConfig fromTopology(const TopologySpec &spec,
                                       Addr l3Size = 4 * 1024 * 1024);
 };

@@ -12,18 +12,10 @@
 #include "stramash/common/stats.hh"
 #include "stramash/isa/isa.hh"
 #include "stramash/mem/latency_profile.hh"
+#include "stramash/mem/topology.hh"
 
 namespace stramash
 {
-
-/** Static configuration of one node. */
-struct NodeConfig
-{
-    NodeId id;
-    IsaType isa;
-    CoreModel core;
-    unsigned numCores = 1;
-};
 
 /**
  * Runtime state of a node. Timing follows the paper's PriME-style
@@ -34,7 +26,7 @@ struct NodeConfig
 class Node
 {
   public:
-    Node(const NodeConfig &cfg)
+    explicit Node(const TopologyNode &cfg)
         : cfg_(cfg),
           desc_(isaDescriptor(cfg.isa)),
           profile_(latencyProfile(cfg.core)),
@@ -44,7 +36,7 @@ class Node
 
     NodeId id() const { return cfg_.id; }
     IsaType isa() const { return cfg_.isa; }
-    const NodeConfig &config() const { return cfg_; }
+    const TopologyNode &config() const { return cfg_; }
     const IsaDescriptor &isaDesc() const { return desc_; }
     const LatencyProfile &profile() const { return profile_; }
 
@@ -101,7 +93,7 @@ class Node
     StatGroup &stats() { return stats_; }
 
   private:
-    NodeConfig cfg_;
+    TopologyNode cfg_;
     const IsaDescriptor &desc_;
     const LatencyProfile &profile_;
     StatGroup stats_;
