@@ -19,9 +19,9 @@
  *
  * This is the simulator's hottest loop: node contexts live in a
  * dense vector indexed by NodeId, an L1 hit returns without ever
- * consulting another node, and a snoop round skips every peer whose
- * private last level does not hold the line (one set search, exact by
- * inclusion; see CacheHierarchy::holds).
+ * consulting another node, and with private LLCs a snoop round skips
+ * every peer whose last level does not hold the line (one set search,
+ * exact by inclusion; see CacheHierarchy::holds).
  */
 
 #ifndef STRAMASH_CACHE_COHERENCE_HH

@@ -107,9 +107,9 @@ paperTrace(std::uint64_t seed, std::size_t count, bool dataOnly)
  * 4-way) forces eviction churn everywhere; the paper geometry (8-way
  * L1s, 16-way L2 and L3) pins full 16-way replacement order, once
  * with a data-only trace that never fills the L1I. Two four-node
- * runs pin which peers each snoop and back-invalidation reaches. Any
- * refactor of cache/hierarchy/coherence must leave these hashes
- * unchanged.
+ * runs pin which peers the snoop rounds (private LLCs) and the
+ * back-invalidations (shared LLC) reach. Any refactor of
+ * cache/hierarchy/coherence must leave these hashes unchanged.
  */
 TEST(CacheGolden, OutputMatchesRecordedHashes)
 {

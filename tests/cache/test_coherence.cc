@@ -27,17 +27,28 @@ class CoherenceTest : public testing::Test
     std::unique_ptr<CoherenceDomain> domain_;
 };
 
-/** Tiny hierarchy, so a few conflicting lines force evictions. */
-HierarchyGeometry
-tinyGeom()
+/** Two nodes with tiny hierarchies, so a few conflicting lines force
+ *  evictions. */
+class CoherenceTinyCaches : public testing::Test
 {
-    HierarchyGeometry g;
-    g.l1i = {1_KiB, 2};
-    g.l1d = {1_KiB, 2};
-    g.l2 = {4_KiB, 4};
-    g.l3 = {16_KiB, 4};
-    return g;
-}
+  protected:
+    void
+    build(const CacheGeometry *sharedLlc = nullptr)
+    {
+        HierarchyGeometry g;
+        g.l1i = {1_KiB, 2};
+        g.l1d = {1_KiB, 2};
+        g.l2 = {4_KiB, 4};
+        g.l3 = {16_KiB, 4};
+        d_ = std::make_unique<CoherenceDomain>(map_, SnoopCosts{},
+                                               sharedLlc);
+        d_->addNode(0, g, latencyProfile(CoreModel::XeonGold));
+        d_->addNode(1, g, latencyProfile(CoreModel::ThunderX2));
+    }
+
+    PhysMap map_ = PhysMap::paperDefault(MemoryModel::FullyShared);
+    std::unique_ptr<CoherenceDomain> d_;
+};
 
 } // namespace
 
@@ -217,14 +228,12 @@ TEST_F(CoherenceTest, StatsTrackHitsAndAccesses)
  * private copy, including one a node picked up through a shared-LLC
  * hit rather than a fill, and charges the evicting access.
  */
-TEST(CoherenceTinyCaches, SharedLlcEvictionBackInvalidatesEveryCopy)
+TEST_F(CoherenceTinyCaches, SharedLlcEvictionBackInvalidatesEveryCopy)
 {
-    PhysMap map = PhysMap::paperDefault(MemoryModel::FullyShared);
     // 4 KiB 2-way shared LLC: 32 sets; lines 2 KiB apart collide.
     CacheGeometry shared{4_KiB, 2};
-    CoherenceDomain d(map, SnoopCosts{}, &shared);
-    d.addNode(0, tinyGeom(), latencyProfile(CoreModel::XeonGold));
-    d.addNode(1, tinyGeom(), latencyProfile(CoreModel::ThunderX2));
+    build(&shared);
+    CoherenceDomain &d = *d_;
 
     Addr a = 0x100000;
     d.accessLine(0, AccessType::Load, a);
@@ -246,12 +255,10 @@ TEST(CoherenceTinyCaches, SharedLlcEvictionBackInvalidatesEveryCopy)
  * finds no holder, and node 0's next read pays Snoop Data against
  * node 1's now-dirty copy.
  */
-TEST(CoherenceTinyCaches, AgedOutLineSkipsSnoopUntilNextRead)
+TEST_F(CoherenceTinyCaches, AgedOutLineSkipsSnoopUntilNextRead)
 {
-    PhysMap map = PhysMap::paperDefault(MemoryModel::FullyShared);
-    CoherenceDomain d(map, SnoopCosts{});
-    d.addNode(0, tinyGeom(), latencyProfile(CoreModel::XeonGold));
-    d.addNode(1, tinyGeom(), latencyProfile(CoreModel::ThunderX2));
+    build();
+    CoherenceDomain &d = *d_;
 
     Addr a = 0x200000;
     d.accessLine(0, AccessType::Load, a);
@@ -271,12 +278,10 @@ TEST(CoherenceTinyCaches, AgedOutLineSkipsSnoopUntilNextRead)
 
 /** After flushAll, a store to a line another node used to own pays
  *  no snoop and installs Modified. */
-TEST(CoherenceTinyCaches, StoreAfterFlushAllPaysNoPhantomSnoop)
+TEST_F(CoherenceTinyCaches, StoreAfterFlushAllPaysNoPhantomSnoop)
 {
-    PhysMap map = PhysMap::paperDefault(MemoryModel::FullyShared);
-    CoherenceDomain d(map, SnoopCosts{});
-    d.addNode(0, tinyGeom(), latencyProfile(CoreModel::XeonGold));
-    d.addNode(1, tinyGeom(), latencyProfile(CoreModel::ThunderX2));
+    build();
+    CoherenceDomain &d = *d_;
 
     d.accessLine(0, AccessType::Store, 0x5000);
     d.accessLine(1, AccessType::Load, 0x9000);
