@@ -5,15 +5,18 @@
  * stats JSON (every stat group System exports) and its per-node
  * clocks, compared with a value recorded from the simulator as it
  * stands:
- *  - the eight Fig. 9 configurations on IS and CG at a reduced
- *    problem size (fused remote faults and the remote VMA walk,
- *    Popcorn's DSM and VMA replication over SHM and TCP);
+ *  - the eight Fig. 9 configurations on IS, CG, MG and FT at a
+ *    reduced problem size (fused remote faults and the remote VMA
+ *    walk, Popcorn's DSM and VMA replication over SHM and TCP; FT's
+ *    fresh scratch buffer per procedure drives the fused fast path's
+ *    tagged leaf inserts and their reconciliation);
  *  - one fused and one Popcorn whole-process migration;
  *  - one fused crash recovery, which copies the dead kernel's VMAs
  *    and adopts its page-table entries;
- *  - fused and Popcorn NPB IS on a cached four-node machine, whose
- *    offload hops visit every peer, so coherence snoops reach three
- *    other hierarchies.
+ *  - fused and Popcorn NPB IS and FT on a cached four-node machine,
+ *    whose offload hops visit every peer, so coherence snoops reach
+ *    three other hierarchies and tagged leaves come from writers of
+ *    both ISAs.
  *
  * A refactor must leave every hash unchanged. A deliberate model
  * change re-records them: the failure message prints the new value.
@@ -142,10 +145,10 @@ class PeerCycle final : public Placer
     NodeId next_ = 0;
 };
 
-/** NPB IS from node 0 of a cached four-node machine, offloading its
- *  ranking procedure to each peer in turn. */
+/** NPB @p kernel from node 0 of a cached four-node machine,
+ *  offloading each procedure to the peers in turn. */
 std::uint64_t
-fourNodeIsDigest(OsDesign design)
+fourNodeDigest(OsDesign design, const char *kernel)
 {
     SystemConfig cfg;
     cfg.osDesign = design;
@@ -158,7 +161,7 @@ fourNodeIsDigest(OsDesign design)
     ncfg.problemBytes = 256_KiB;
     ncfg.placer = &placer;
     sys.resetExperimentCounters();
-    EXPECT_TRUE(makeNpbKernel("is")->run(app, ncfg).verified);
+    EXPECT_TRUE(makeNpbKernel(kernel)->run(app, ncfg).verified);
     return digest(sys);
 }
 
@@ -204,7 +207,23 @@ INSTANTIATE_TEST_SUITE_P(
         Fig9Case{"cg", 4, 0xcbd95216b0b7e2faull},
         Fig9Case{"cg", 5, 0xf4630607cb75ccc4ull},
         Fig9Case{"cg", 6, 0xbcbe051c95fe1769ull},
-        Fig9Case{"cg", 7, 0x78799a4f7d6e1348ull}),
+        Fig9Case{"cg", 7, 0x78799a4f7d6e1348ull},
+        Fig9Case{"mg", 0, 0x11cbc5ef7f12c140ull},
+        Fig9Case{"mg", 1, 0x54e5b9de8886dfbaull},
+        Fig9Case{"mg", 2, 0xa1f4900582ae1cc8ull},
+        Fig9Case{"mg", 3, 0xd1142b51805f93d1ull},
+        Fig9Case{"mg", 4, 0x617b8a06043e2902ull},
+        Fig9Case{"mg", 5, 0xde3d235d5bf6d860ull},
+        Fig9Case{"mg", 6, 0x29fa5133e54dd6a7ull},
+        Fig9Case{"mg", 7, 0x6ff4fba91a2f4565ull},
+        Fig9Case{"ft", 0, 0xb52292865552bb26ull},
+        Fig9Case{"ft", 1, 0xc59d9a092dcf8a27ull},
+        Fig9Case{"ft", 2, 0xb5df7b065d121d19ull},
+        Fig9Case{"ft", 3, 0x7d3b7615cbbd1e5aull},
+        Fig9Case{"ft", 4, 0x70dda5cee313932dull},
+        Fig9Case{"ft", 5, 0xddb91361b89606eaull},
+        Fig9Case{"ft", 6, 0xd027a31adc32a25bull},
+        Fig9Case{"ft", 7, 0xb1688f6d5a4edb08ull}),
     fig9Name);
 
 TEST(Golden, FusedProcessMigration)
@@ -253,12 +272,27 @@ TEST(Golden, FusedCrashRecovery)
 
 TEST(Golden, FusedFourNodeIs)
 {
-    std::uint64_t h = fourNodeIsDigest(OsDesign::FusedKernel);
+    std::uint64_t h = fourNodeDigest(OsDesign::FusedKernel, "is");
     EXPECT_EQ(h, 0x727fc2c80b4df145ull) << std::hex << "hash 0x" << h;
 }
 
 TEST(Golden, PopcornFourNodeIs)
 {
-    std::uint64_t h = fourNodeIsDigest(OsDesign::MultipleKernel);
+    std::uint64_t h = fourNodeDigest(OsDesign::MultipleKernel, "is");
     EXPECT_EQ(h, 0xf1cf900f45797806ull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, FusedFourNodeFt)
+{
+    // Each procedure's fresh scratch buffer is first touched on a
+    // different peer, so the origin's table gathers leaves tagged in
+    // two writers' formats and reconciles them at each return.
+    std::uint64_t h = fourNodeDigest(OsDesign::FusedKernel, "ft");
+    EXPECT_EQ(h, 0x312652a40fb819f1ull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, PopcornFourNodeFt)
+{
+    std::uint64_t h = fourNodeDigest(OsDesign::MultipleKernel, "ft");
+    EXPECT_EQ(h, 0xa1f8c7ca0e6c037eull) << std::hex << "hash 0x" << h;
 }
