@@ -561,11 +561,9 @@ CrashManager::adoptTaskFused(Pid pid, NodeId dead, NodeId survivor)
         // writer's format (N-node machines can have several foreign
         // writers); unrecorded tags default to the adopter's format.
         const PteFormat &hostFmt = t->as->pageTable().format();
-        TaggedFmtFn taggedFmtOf = [&](Addr va) -> const PteFormat * {
-            return shared_ ? &taggedWriterFormat(*shared_, machine_, pid,
-                                                 pageBase(va), hostFmt)
-                           : &hostFmt;
-        };
+        TaggedFmtFn taggedFmtOf =
+            shared_ ? taggedFormatOf(*shared_, machine_, pid, hostFmt)
+                    : [&](Addr) -> const PteFormat & { return hostFmt; };
         kh.remoteAccess(dead, AccessType::Store,
                         tdead->as->ptlAddr(), 8);
         t->as->vmas().forEach([&](const Vma &v) {

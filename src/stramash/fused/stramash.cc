@@ -1,23 +1,23 @@
 #include "stramash/fused/stramash.hh"
 
-#include "stramash/isa/isa.hh"
 
 namespace stramash
 {
 
-const PteFormat &
-taggedWriterFormat(const StramashShared &shared, Machine &machine,
-                   Pid pid, Addr vpage, const PteFormat &fallback)
+TaggedFmtFn
+taggedFormatOf(const StramashShared &shared, Machine &machine, Pid pid,
+               const PteFormat &fallback)
 {
-    auto pit = shared.foreignMapped.find(pid);
-    if (pit != shared.foreignMapped.end()) {
-        auto vit = pit->second.find(vpage);
-        if (vit != pit->second.end()) {
-            return *isaDescriptor(machine.node(vit->second).isa())
-                        .pteFormat;
+    return [&shared, &machine, pid,
+            &fallback](Addr va) -> const PteFormat & {
+        auto pit = shared.foreignMapped.find(pid);
+        if (pit != shared.foreignMapped.end()) {
+            auto vit = pit->second.find(pageBase(va));
+            if (vit != pit->second.end())
+                return pteFormatFor(machine.node(vit->second).isa());
         }
-    }
-    return fallback;
+        return fallback;
+    };
 }
 
 // ===================== StramashFaultHandler ==========================
@@ -114,7 +114,7 @@ StramashFaultHandler::handleFault(KernelInstance &kernel, Task &task,
     const PteFormat &ofmt = ot.as->pageTable().format();
     const PteFormat &sfmt = task.as->pageTable().format();
     GuestMemory &mem = kernel.machine().memory();
-    auto touch = [&](AccessType at, Addr a) {
+    TouchFn touch = [&](AccessType at, Addr a) {
         kernel.remoteAccess(task.origin, at, a, 8);
     };
 
@@ -123,21 +123,10 @@ StramashFaultHandler::handleFault(KernelInstance &kernel, Task &task,
 
     // Software remote page table walk in the origin's format, with
     // per-level masks re-defined by the format object (§6.4).
-    Addr table = ot.as->pageTable().rootAddr();
-    bool chainComplete = true;
-    for (int level = ofmt.levels() - 1; level > 0; --level) {
-        Addr ea = table + ofmt.indexOf(vpage, level) * 8;
-        touch(AccessType::Load, ea);
-        std::uint64_t raw = mem.load<std::uint64_t>(ea);
-        DecodedPte d = ofmt.decode(raw, level);
-        if (!d.attrs.present) {
-            chainComplete = false;
-            break;
-        }
-        table = d.frame;
-    }
+    std::optional<Addr> leafEa = findLeafEntry(
+        mem, ofmt, ot.as->pageTable().rootAddr(), vpage, touch);
 
-    if (!chainComplete) {
+    if (!leafEa) {
         // Slow path (§9.2.3): only PTE-level insertion is allowed
         // remotely; a missing upper level is the origin's problem.
         unlockWord(kernel, task.origin, ot.as->ptlAddr());
@@ -162,19 +151,11 @@ StramashFaultHandler::handleFault(KernelInstance &kernel, Task &task,
         return;
     }
 
-    Addr leafEa = table + ofmt.indexOf(vpage, 0) * 8;
-    touch(AccessType::Load, leafEa);
-    std::uint64_t raw = mem.load<std::uint64_t>(leafEa);
-    DecodedPte leaf;
-    if (raw & foreignFormatTag) {
-        // A tagged entry decodes in its *writer's* format — on an
-        // N-node machine that may be a third kernel, not us.
-        const PteFormat &wfmt = taggedWriterFormat(
-            shared_, kernel.machine(), task.pid, vpage, sfmt);
-        leaf = wfmt.decode(raw & ~foreignFormatTag, 0);
-    } else {
-        leaf = ofmt.decode(raw, 0);
-    }
+    // A tagged entry decodes in its *writer's* format — on an N-node
+    // machine that may be a third kernel, not us.
+    DecodedPte leaf = readLeaf(
+        mem, ofmt, *leafEa, vpage, touch,
+        taggedFormatOf(shared_, kernel.machine(), task.pid, sfmt));
 
     PteAttrs attrs = vmaPageAttrs(*vma, vma->prot.writable);
 
@@ -197,9 +178,7 @@ StramashFaultHandler::handleFault(KernelInstance &kernel, Task &task,
         task.ownedPages.push_back(pa);
         bool ok = task.as->mapPage(vpage, pa, attrs);
         panic_if(!ok, "fast-path mapping raced");
-        touch(AccessType::Store, leafEa);
-        mem.store<std::uint64_t>(leafEa, sfmt.encodeLeaf(pa, attrs) |
-                                             foreignFormatTag);
+        writeTaggedLeaf(mem, sfmt, *leafEa, pa, attrs, touch);
         shared_.foreignMapped[task.pid][vpage] = self;
         ++shared_.foreignInsertions;
         kernel.stats().counter("stramash_foreign_inserts") += 1;
@@ -408,11 +387,8 @@ StramashMigrationPolicy::migrateProcess(Pid pid, NodeId dest)
     // Tagged entries in the source's table decode in their recorded
     // writer's format; an unrecorded tag defaults to the
     // destination's format (the only possible writer on the pair).
-    const PteFormat *destFmt = &td.as->pageTable().format();
-    TaggedFmtFn taggedFmtOf = [&](Addr va) -> const PteFormat * {
-        return &taggedWriterFormat(shared_, machine, pid,
-                                   pageBase(va), *destFmt);
-    };
+    TaggedFmtFn taggedFmtOf = taggedFormatOf(
+        shared_, machine, pid, td.as->pageTable().format());
     kd.remoteAccess(src, AccessType::Store, ts.as->ptlAddr(), 8);
     for (const Vma &v : vmas) {
         for (Addr va = v.start; va < v.end; va += pageSize) {
@@ -491,27 +467,22 @@ StramashMigrationPolicy::reconcile(KernelInstance &origin, Pid pid)
     if (it == shared_.foreignMapped.end() || it->second.empty())
         return;
     Task &t = origin.task(pid);
-    GuestMemory &mem = origin.machine().memory();
-    const PteFormat &ofmt = t.as->pageTable().format();
+    Machine &machine = origin.machine();
+    const PageTable &pt = t.as->pageTable();
 
     for (const auto &[vpage, writer] : it->second) {
-        auto w = t.as->pageTable().walk(vpage);
-        if (!w)
-            continue; // entry was unmapped meanwhile
-        std::uint64_t raw = mem.load<std::uint64_t>(w->pteAddr);
-        if (!(raw & foreignFormatTag))
-            continue;
         // "the origin kernel can simply reconfigure the PTE to its
         // own format" (§6.4). The entry decodes in the format of the
-        // remote kernel that inserted it.
-        const PteFormat &wfmt =
-            *isaDescriptor(origin.machine().node(writer).isa())
-                 .pteFormat;
-        bool ok = reconcileForeign(mem, ofmt, wfmt,
-                                   t.as->pageTable().rootAddr(), vpage);
-        panic_if(!ok, "tagged PTE vanished during reconcile");
-        origin.machine().dataAccess(origin.nodeId(), AccessType::Store,
-                                    w->pteAddr, 8);
+        // remote kernel that inserted it; one unmapped or no longer
+        // tagged meanwhile is skipped.
+        auto pteAddr = reconcileForeign(
+            machine.memory(), pt.format(),
+            pteFormatFor(machine.node(writer).isa()), pt.rootAddr(),
+            vpage);
+        if (!pteAddr)
+            continue;
+        machine.dataAccess(origin.nodeId(), AccessType::Store,
+                           *pteAddr, 8);
         origin.stats().counter("ptes_reconciled") += 1;
     }
     it->second.clear();

@@ -71,15 +71,15 @@ struct StramashShared
 };
 
 /**
- * The PTE format a tagged (foreign-inserted) leaf entry of @p pid at
- * @p vpage was written in: the recorded writer node's native format,
+ * Resolves the PTE format a tagged (foreign-inserted) leaf entry of
+ * @p pid was written in: the recorded writer node's native format,
  * or @p fallback when no record exists (single untracked insertion —
  * decode as the caller's own format, the historical two-node rule).
+ * The resolver refers to its arguments; they must outlive it.
  */
-const PteFormat &taggedWriterFormat(const StramashShared &shared,
-                                    Machine &machine, Pid pid,
-                                    Addr vpage,
-                                    const PteFormat &fallback);
+TaggedFmtFn taggedFormatOf(const StramashShared &shared,
+                           Machine &machine, Pid pid,
+                           const PteFormat &fallback);
 
 class StramashFaultHandler final : public FaultHandler
 {

@@ -5,35 +5,20 @@
 namespace stramash
 {
 
-namespace
-{
-
-/** Decode an entry, honouring the foreign-format tag when present. */
-DecodedPte
-decodeRaw(std::uint64_t raw, int level, const PteFormat &fmt,
-          const PteFormat *taggedFmt)
-{
-    if (raw & foreignFormatTag) {
-        panic_if(!taggedFmt,
-                 "foreign-format PTE encountered without a remote CPU "
-                 "driver to decode it");
-        return taggedFmt->decode(raw & ~foreignFormatTag, level);
-    }
-    return fmt.decode(raw, level);
-}
-
-} // namespace
-
 PageTable::PageTable(GuestMemory &mem, const PteFormat &fmt,
                      FrameAlloc alloc, FrameFree free,
                      const PteFormat *foreignFmt)
     : mem_(mem),
       fmt_(fmt),
-      foreignFmt_(foreignFmt),
       alloc_(std::move(alloc)),
       free_(std::move(free))
 {
     panic_if(!alloc_ || !free_, "PageTable needs frame callbacks");
+    if (foreignFmt) {
+        foreignFmtOf_ = [foreignFmt](Addr) -> const PteFormat & {
+            return *foreignFmt;
+        };
+    }
     root_ = newTable();
 }
 
@@ -56,46 +41,22 @@ PageTable::newTable()
 bool
 PageTable::map(Addr va, Addr pa, const PteAttrs &attrs)
 {
-    Addr table = root_;
-    for (int level = fmt_.levels() - 1; level > 0; --level) {
-        Addr ea = entryAddr(table, va, level);
-        std::uint64_t raw = mem_.load<std::uint64_t>(ea);
-        DecodedPte d = decodeRaw(raw, level, fmt_, foreignFmt_);
-        if (!d.attrs.present) {
-            Addr child = newTable();
-            mem_.store<std::uint64_t>(ea, fmt_.encodeTable(child));
-            table = child;
-        } else {
-            panic_if(!d.table, "huge pages are not modelled");
-            table = d.frame;
-        }
-    }
-    Addr leaf = entryAddr(table, va, 0);
-    std::uint64_t raw = mem_.load<std::uint64_t>(leaf);
-    if (decodeRaw(raw, 0, fmt_, foreignFmt_).attrs.present)
+    Addr leaf = buildChain(va);
+    if (readLeaf(mem_, fmt_, leaf, va, {}, foreignFmtOf_).attrs.present)
         return false;
     mem_.store<std::uint64_t>(leaf, fmt_.encodeLeaf(pa, attrs));
     ++mapped_;
     return true;
 }
 
-void
+Addr
 PageTable::buildChain(Addr va)
 {
-    Addr table = root_;
-    for (int level = fmt_.levels() - 1; level > 0; --level) {
-        Addr ea = entryAddr(table, va, level);
-        std::uint64_t raw = mem_.load<std::uint64_t>(ea);
-        DecodedPte d = decodeRaw(raw, level, fmt_, foreignFmt_);
-        if (!d.attrs.present) {
-            Addr child = newTable();
-            mem_.store<std::uint64_t>(ea, fmt_.encodeTable(child));
-            table = child;
-        } else {
-            panic_if(!d.table, "huge pages are not modelled");
-            table = d.frame;
-        }
-    }
+    return *findLeafEntry(mem_, fmt_, root_, va, {}, [this](Addr ea) {
+        Addr table = newTable();
+        mem_.store<std::uint64_t>(ea, fmt_.encodeTable(table));
+        return table;
+    });
 }
 
 bool
@@ -115,21 +76,7 @@ PageTable::unmap(Addr va)
 std::optional<WalkResult>
 PageTable::walk(Addr va) const
 {
-    Addr table = root_;
-    for (int level = fmt_.levels() - 1; level > 0; --level) {
-        Addr ea = entryAddr(table, va, level);
-        std::uint64_t raw = mem_.load<std::uint64_t>(ea);
-        DecodedPte d = decodeRaw(raw, level, fmt_, foreignFmt_);
-        if (!d.attrs.present)
-            return std::nullopt;
-        table = d.frame;
-    }
-    Addr leaf = entryAddr(table, va, 0);
-    std::uint64_t raw = mem_.load<std::uint64_t>(leaf);
-    DecodedPte d = decodeRaw(raw, 0, fmt_, foreignFmt_);
-    if (!d.attrs.present)
-        return std::nullopt;
-    return WalkResult{d, leaf};
+    return walkForeign(mem_, fmt_, root_, va, {}, foreignFmtOf_);
 }
 
 bool
@@ -143,54 +90,11 @@ PageTable::protect(Addr va, const PteAttrs &attrs)
     return true;
 }
 
-int
-PageTable::presentDepth(Addr va) const
-{
-    Addr table = root_;
-    int depth = 1;
-    for (int level = fmt_.levels() - 1; level > 0; --level) {
-        Addr ea = entryAddr(table, va, level);
-        std::uint64_t raw = mem_.load<std::uint64_t>(ea);
-        DecodedPte d = decodeRaw(raw, level, fmt_, foreignFmt_);
-        if (!d.attrs.present)
-            return depth;
-        table = d.frame;
-        ++depth;
-    }
-    return depth;
-}
-
 // ===================== Remote walker =================================
 
-std::optional<WalkResult>
-walkForeign(const GuestMemory &mem, const PteFormat &fmt, Addr root,
-            Addr va, const TouchFn &touch, const PteFormat *taggedFmt)
-{
-    Addr table = root;
-    for (int level = fmt.levels() - 1; level > 0; --level) {
-        Addr ea = table + fmt.indexOf(va, level) * 8;
-        if (touch)
-            touch(AccessType::Load, ea);
-        std::uint64_t raw = mem.load<std::uint64_t>(ea);
-        DecodedPte d = decodeRaw(raw, level, fmt, taggedFmt);
-        if (!d.attrs.present)
-            return std::nullopt;
-        table = d.frame;
-    }
-    Addr leaf = table + fmt.indexOf(va, 0) * 8;
-    if (touch)
-        touch(AccessType::Load, leaf);
-    std::uint64_t raw = mem.load<std::uint64_t>(leaf);
-    DecodedPte d = decodeRaw(raw, 0, fmt, taggedFmt);
-    if (!d.attrs.present)
-        return std::nullopt;
-    return WalkResult{d, leaf};
-}
-
-std::optional<WalkResult>
-walkForeign(const GuestMemory &mem, const PteFormat &fmt, Addr root,
-            Addr va, const TouchFn &touch,
-            const TaggedFmtFn &taggedFmtOf)
+std::optional<Addr>
+findLeafEntry(const GuestMemory &mem, const PteFormat &fmt, Addr root,
+              Addr va, const TouchFn &touch, const NewTableFn &newTable)
 {
     // Upper levels are always in the table's own format; only the
     // leaf can carry a tagged writer-format entry.
@@ -199,128 +103,74 @@ walkForeign(const GuestMemory &mem, const PteFormat &fmt, Addr root,
         Addr ea = table + fmt.indexOf(va, level) * 8;
         if (touch)
             touch(AccessType::Load, ea);
-        std::uint64_t raw = mem.load<std::uint64_t>(ea);
-        DecodedPte d = fmt.decode(raw, level);
-        if (!d.attrs.present)
+        DecodedPte d = fmt.decode(mem.load<std::uint64_t>(ea), level);
+        if (d.attrs.present) {
+            panic_if(newTable && !d.table, "huge pages are not modelled");
+            table = d.frame;
+        } else if (newTable) {
+            table = newTable(ea);
+        } else {
             return std::nullopt;
-        table = d.frame;
+        }
     }
-    Addr leaf = table + fmt.indexOf(va, 0) * 8;
+    return table + fmt.indexOf(va, 0) * 8;
+}
+
+DecodedPte
+readLeaf(const GuestMemory &mem, const PteFormat &fmt, Addr leafEa,
+         Addr va, const TouchFn &touch, const TaggedFmtFn &taggedFmtOf)
+{
     if (touch)
-        touch(AccessType::Load, leaf);
-    std::uint64_t raw = mem.load<std::uint64_t>(leaf);
-    DecodedPte d = decodeRaw(raw, 0, fmt,
-                             taggedFmtOf ? taggedFmtOf(va) : nullptr);
+        touch(AccessType::Load, leafEa);
+    std::uint64_t raw = mem.load<std::uint64_t>(leafEa);
+    if (!(raw & foreignFormatTag))
+        return fmt.decode(raw, 0);
+    panic_if(!taggedFmtOf,
+             "foreign-format PTE encountered without a remote CPU "
+             "driver to decode it");
+    return taggedFmtOf(va).decode(raw & ~foreignFormatTag, 0);
+}
+
+void
+writeTaggedLeaf(GuestMemory &mem, const PteFormat &writerFmt,
+                Addr leafEa, Addr pa, const PteAttrs &attrs,
+                const TouchFn &touch)
+{
+    if (touch)
+        touch(AccessType::Store, leafEa);
+    mem.store<std::uint64_t>(leafEa, writerFmt.encodeLeaf(pa, attrs) |
+                                         foreignFormatTag);
+}
+
+std::optional<WalkResult>
+walkForeign(const GuestMemory &mem, const PteFormat &fmt, Addr root,
+            Addr va, const TouchFn &touch,
+            const TaggedFmtFn &taggedFmtOf)
+{
+    auto leaf = findLeafEntry(mem, fmt, root, va, touch);
+    if (!leaf)
+        return std::nullopt;
+    DecodedPte d = readLeaf(mem, fmt, *leaf, va, touch, taggedFmtOf);
     if (!d.attrs.present)
         return std::nullopt;
-    return WalkResult{d, leaf};
+    return WalkResult{d, *leaf};
 }
 
-int
-foreignPresentDepth(const GuestMemory &mem, const PteFormat &fmt,
-                    Addr root, Addr va, const TouchFn &touch)
-{
-    Addr table = root;
-    int depth = 1;
-    for (int level = fmt.levels() - 1; level > 0; --level) {
-        Addr ea = table + fmt.indexOf(va, level) * 8;
-        if (touch)
-            touch(AccessType::Load, ea);
-        std::uint64_t raw = mem.load<std::uint64_t>(ea);
-        DecodedPte d = fmt.decode(raw, level);
-        if (!d.attrs.present)
-            return depth;
-        table = d.frame;
-        ++depth;
-    }
-    return depth;
-}
-
-bool
-mapForeign(GuestMemory &mem, const PteFormat &tableFmt,
-           const PteFormat &writerFmt, Addr root, Addr va, Addr pa,
-           const PteAttrs &attrs, bool asForeignFormat,
-           const TouchFn &touch)
-{
-    Addr table = root;
-    for (int level = tableFmt.levels() - 1; level > 0; --level) {
-        Addr ea = table + tableFmt.indexOf(va, level) * 8;
-        if (touch)
-            touch(AccessType::Load, ea);
-        std::uint64_t raw = mem.load<std::uint64_t>(ea);
-        DecodedPte d = tableFmt.decode(raw, level);
-        if (!d.attrs.present) {
-            // Fast path only inserts at the PTE level; a missing
-            // upper level means the origin must handle the fault.
-            return false;
-        }
-        table = d.frame;
-    }
-    Addr leaf = table + tableFmt.indexOf(va, 0) * 8;
-    if (touch)
-        touch(AccessType::Load, leaf);
-    std::uint64_t raw = mem.load<std::uint64_t>(leaf);
-    if (tableFmt.decode(raw & ~foreignFormatTag, 0).attrs.present ||
-        writerFmt.decode(raw & ~foreignFormatTag, 0).attrs.present) {
-        return false;
-    }
-    std::uint64_t enc = asForeignFormat
-                            ? (writerFmt.encodeLeaf(pa, attrs) |
-                               foreignFormatTag)
-                            : tableFmt.encodeLeaf(pa, attrs);
-    if (touch)
-        touch(AccessType::Store, leaf);
-    mem.store<std::uint64_t>(leaf, enc);
-    return true;
-}
-
-bool
-unmapForeign(GuestMemory &mem, const PteFormat &tableFmt, Addr root,
-             Addr va, const TouchFn &touch)
-{
-    Addr table = root;
-    for (int level = tableFmt.levels() - 1; level > 0; --level) {
-        Addr ea = table + tableFmt.indexOf(va, level) * 8;
-        if (touch)
-            touch(AccessType::Load, ea);
-        std::uint64_t raw = mem.load<std::uint64_t>(ea);
-        DecodedPte d = tableFmt.decode(raw, level);
-        if (!d.attrs.present)
-            return false;
-        table = d.frame;
-    }
-    Addr leaf = table + tableFmt.indexOf(va, 0) * 8;
-    if (touch)
-        touch(AccessType::Store, leaf);
-    std::uint64_t raw = mem.load<std::uint64_t>(leaf);
-    if (raw == 0)
-        return false;
-    mem.store<std::uint64_t>(leaf, 0);
-    return true;
-}
-
-bool
+std::optional<Addr>
 reconcileForeign(GuestMemory &mem, const PteFormat &tableFmt,
                  const PteFormat &writerFmt, Addr root, Addr va)
 {
-    Addr table = root;
-    for (int level = tableFmt.levels() - 1; level > 0; --level) {
-        Addr ea = table + tableFmt.indexOf(va, level) * 8;
-        std::uint64_t raw = mem.load<std::uint64_t>(ea);
-        DecodedPte d = tableFmt.decode(raw, level);
-        if (!d.attrs.present)
-            return false;
-        table = d.frame;
-    }
-    Addr leaf = table + tableFmt.indexOf(va, 0) * 8;
-    std::uint64_t raw = mem.load<std::uint64_t>(leaf);
+    auto leaf = findLeafEntry(mem, tableFmt, root, va, {});
+    if (!leaf)
+        return std::nullopt;
+    std::uint64_t raw = mem.load<std::uint64_t>(*leaf);
     if (!(raw & foreignFormatTag))
-        return false;
+        return std::nullopt;
     DecodedPte d = writerFmt.decode(raw & ~foreignFormatTag, 0);
     panic_if(!d.attrs.present, "tagged PTE decodes as not-present");
-    mem.store<std::uint64_t>(leaf,
+    mem.store<std::uint64_t>(*leaf,
                              tableFmt.encodeLeaf(d.frame, d.attrs));
-    return true;
+    return leaf;
 }
 
 } // namespace stramash

@@ -6,10 +6,12 @@
  * entries in the fused GuestMemory, allocated from the owning
  * kernel's physical allocator. Because they live in the coherent
  * shared memory, *another* kernel can walk them — that is exactly the
- * paper's "Software Remote Page Table Walker" (§6.4), implemented
- * here as walkForeign()/mapForeign(), which decode a foreign format
- * through PteFormat accessor functions and charge every table access
- * to a caller-supplied cost hook.
+ * paper's "Software Remote Page Table Walker" (§6.4). Every walk,
+ * local or remote, descends through findLeafEntry(), which decodes a
+ * table through its PteFormat accessor functions and charges each
+ * table read to an optional cost hook. walkForeign(), readLeaf() and
+ * writeTaggedLeaf() are the remote walker's lookup and its tagged
+ * insert; reconcileForeign() rewrites a tagged entry natively.
  */
 
 #ifndef STRAMASH_ISA_PAGE_TABLE_HH
@@ -31,6 +33,8 @@ using FrameAlloc = std::function<Addr()>;
 using FrameFree = std::function<void(Addr)>;
 /** Charge one guest memory access made during a walk. */
 using TouchFn = std::function<void(AccessType, Addr)>;
+/** Resolve the format a tagged leaf entry for @p va was written in. */
+using TaggedFmtFn = std::function<const PteFormat &(Addr va)>;
 
 /** Result of a successful walk. */
 struct WalkResult
@@ -75,23 +79,19 @@ class PageTable
      * Materialise the intermediate-table chain for @p va down to the
      * leaf table without touching the leaf entry itself — the origin
      * side of Stramash's slow-path fault (§9.2.3).
+     * @return the address of the leaf entry.
      */
-    void buildChain(Addr va);
+    Addr buildChain(Addr va);
 
-    /** Translate; nullopt if not present. Does not charge costs. */
+    /**
+     * Translate; nullopt if not present. Does not charge costs. A
+     * tagged leaf decodes in the foreign format given at
+     * construction.
+     */
     std::optional<WalkResult> walk(Addr va) const;
 
     /** Rewrite a leaf's attributes. @return false if not mapped. */
     bool protect(Addr va, const PteAttrs &attrs);
-
-    /**
-     * Number of levels of the table chain that exist for @p va, from
-     * 1 (only the root) to levels() (the leaf *table* exists; the
-     * leaf entry itself may still be empty). Stramash's fault
-     * handler takes the fast path only when the leaf table exists
-     * (paper §9.2.3).
-     */
-    int presentDepth(Addr va) const;
 
     /** Count of currently mapped leaf pages. */
     std::uint64_t mappedPages() const { return mapped_; }
@@ -102,7 +102,9 @@ class PageTable
   private:
     GuestMemory &mem_;
     const PteFormat &fmt_;
-    const PteFormat *foreignFmt_;
+    /** Decodes tagged leaves in the fixed foreign format; empty
+     *  when none was given. */
+    TaggedFmtFn foreignFmtOf_;
     FrameAlloc alloc_;
     FrameFree free_;
     Addr root_;
@@ -110,78 +112,69 @@ class PageTable
     std::uint64_t mapped_ = 0;
 
     Addr newTable();
-
-    /** Address of the entry for @p va in the @p level table. */
-    Addr
-    entryAddr(Addr tableAddr, Addr va, int level) const
-    {
-        return tableAddr + fmt_.indexOf(va, level) * 8;
-    }
 };
+
+/** Allocate an empty table, link it into the entry at @p entryAddr
+ *  and return the table's address. */
+using NewTableFn = std::function<Addr(Addr entryAddr)>;
+
+/**
+ * The one descent through the upper levels of a page table: find
+ * the address of @p va's leaf entry in the table rooted at @p root,
+ * in format @p fmt. Each upper-level read is charged through
+ * @p touch when it is set. A missing level is filled from
+ * @p newTable when it is set; otherwise the walk stops there and
+ * returns nullopt. The leaf entry itself is not read.
+ */
+std::optional<Addr>
+findLeafEntry(const GuestMemory &mem, const PteFormat &fmt, Addr root,
+              Addr va, const TouchFn &touch,
+              const NewTableFn &newTable = {});
+
+/**
+ * Load the leaf entry at @p leafEa, charged through @p touch, and
+ * decode it: an entry tagged as foreign in the format
+ * @p taggedFmtOf gives for @p va, any other in @p fmt. A tagged
+ * entry with no resolver panics.
+ */
+DecodedPte
+readLeaf(const GuestMemory &mem, const PteFormat &fmt, Addr leafEa,
+         Addr va, const TouchFn &touch, const TaggedFmtFn &taggedFmtOf);
+
+/**
+ * Store a leaf for @p pa into the entry at @p leafEa of a foreign
+ * table, charged as a Store through @p touch. The entry is encoded
+ * in @p writerFmt, the writer's own format, and tagged, reproducing
+ * the paper's "adds it to the origin kernel's page table with the
+ * remote node ISA format"; reconcileForeign() later rewrites it into
+ * the table's own format.
+ */
+void
+writeTaggedLeaf(GuestMemory &mem, const PteFormat &writerFmt,
+                Addr leafEa, Addr pa, const PteAttrs &attrs,
+                const TouchFn &touch);
 
 /**
  * The Software Remote Page Table Walker (paper §6.4): walk another
  * kernel's page table given its root and format. Each 8-byte table
  * read is charged through @p touch so the remote-access cost is
- * modelled faithfully.
- */
-std::optional<WalkResult>
-walkForeign(const GuestMemory &mem, const PteFormat &fmt, Addr root,
-            Addr va, const TouchFn &touch,
-            const PteFormat *taggedFmt = nullptr);
-
-/** Resolve the format a tagged leaf entry for @p va was written in.
- *  May return null when no record exists (the entry then panics if
- *  actually tagged). */
-using TaggedFmtFn = std::function<const PteFormat *(Addr va)>;
-
-/**
- * walkForeign() for N-node machines: tagged leaf entries may have
- * been written by *different* remote kernels in different formats, so
- * the decode format is looked up per page instead of being fixed for
- * the whole walk.
+ * modelled faithfully. Tagged leaf entries may have been written by
+ * different remote kernels in different formats, so their decode
+ * format is looked up per page through @p taggedFmtOf.
  */
 std::optional<WalkResult>
 walkForeign(const GuestMemory &mem, const PteFormat &fmt, Addr root,
             Addr va, const TouchFn &touch,
             const TaggedFmtFn &taggedFmtOf);
 
-/** presentDepth() over a foreign table, charging through @p touch. */
-int
-foreignPresentDepth(const GuestMemory &mem, const PteFormat &fmt,
-                    Addr root, Addr va, const TouchFn &touch);
-
 /**
- * Insert a leaf PTE into a foreign table whose leaf-level table
- * already exists (the Stramash fast-path constraint: "it only allows
- * remote kernel allocation at the PTE level").
- *
- * @param asForeignFormat If true the entry is written in @p writerFmt
- *        (the writer's native format) and tagged, reproducing the
- *        paper's "adds it to the origin kernel's page table with the
- *        remote node ISA format"; reconcileForeign() later rewrites
- *        it into the table's own format.
- * @return false if the leaf table chain is incomplete or the entry
- *         is already present.
+ * Rewrite one foreign-format (tagged) leaf entry, written in
+ * @p writerFmt, into the table's own format — the "origin kernel
+ * reconfigures the PTE to its own format" step at migration-back.
+ * Uncharged. @return the entry's address if it was tagged and got
+ * rewritten.
  */
-bool
-mapForeign(GuestMemory &mem, const PteFormat &tableFmt,
-           const PteFormat &writerFmt, Addr root, Addr va, Addr pa,
-           const PteAttrs &attrs, bool asForeignFormat,
-           const TouchFn &touch);
-
-/** Clear a leaf PTE in a foreign table. @return false if absent. */
-bool
-unmapForeign(GuestMemory &mem, const PteFormat &tableFmt, Addr root,
-             Addr va, const TouchFn &touch);
-
-/**
- * Rewrite one foreign-format (tagged) leaf entry into the table's own
- * format — the "origin kernel reconfigures the PTE to its own format"
- * step at migration-back. @return true if the entry was tagged and
- * got rewritten.
- */
-bool
+std::optional<Addr>
 reconcileForeign(GuestMemory &mem, const PteFormat &tableFmt,
                  const PteFormat &writerFmt, Addr root, Addr va);
 

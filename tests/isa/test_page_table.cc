@@ -40,6 +40,19 @@ class PageTableTest : public testing::TestWithParam<IsaType>
     std::vector<Addr> freed_;
     std::unique_ptr<PageTable> pt_;
 
+    /** Table levels present for @p va, read from how far a charged
+     *  walk gets: 1 is only the root, levels() a complete chain. */
+    int
+    presentDepth(Addr va)
+    {
+        int loads = 0;
+        bool complete =
+            findLeafEntry(mem_, fmt_, pt_->rootAddr(), va,
+                          [&](AccessType, Addr) { ++loads; })
+                .has_value();
+        return complete ? loads + 1 : loads;
+    }
+
     PteAttrs
     rw()
     {
@@ -110,16 +123,16 @@ TEST_P(PageTableTest, ProtectChangesAttrs)
 TEST_P(PageTableTest, PresentDepthAndBuildChain)
 {
     Addr va = 0x40000000000; // untouched region
-    EXPECT_EQ(pt_->presentDepth(va), 1); // only the root
+    EXPECT_EQ(presentDepth(va), 1); // only the root
     pt_->buildChain(va);
-    EXPECT_EQ(pt_->presentDepth(va), fmt_.levels());
+    EXPECT_EQ(presentDepth(va), fmt_.levels());
     EXPECT_FALSE(pt_->walk(va).has_value()); // leaf still empty
     // Neighbouring page in the same leaf table also sees the chain.
-    EXPECT_EQ(pt_->presentDepth(va + pageSize), fmt_.levels());
+    EXPECT_EQ(presentDepth(va + pageSize), fmt_.levels());
     // An address sharing only the upper levels sees partial depth...
-    EXPECT_EQ(pt_->presentDepth(va + (Addr{1} << 40)), 2);
+    EXPECT_EQ(presentDepth(va + (Addr{1} << 40)), 2);
     // ...and one in a different top-level slot sees just the root.
-    EXPECT_EQ(pt_->presentDepth(va + (Addr{1} << 50)), 1);
+    EXPECT_EQ(presentDepth(va + (Addr{1} << 50)), 1);
 }
 
 TEST_P(PageTableTest, TableFramesFreedOnDestruction)
@@ -139,7 +152,7 @@ TEST_P(PageTableTest, ForeignWalkDecodesOtherFormat)
 
     unsigned touches = 0;
     auto touch = [&](AccessType, Addr) { ++touches; };
-    auto w = walkForeign(mem_, fmt_, pt_->rootAddr(), va, touch);
+    auto w = walkForeign(mem_, fmt_, pt_->rootAddr(), va, touch, {});
     ASSERT_TRUE(w.has_value());
     EXPECT_EQ(w->pte.frame, pa);
     // One charged read per level.
@@ -148,37 +161,66 @@ TEST_P(PageTableTest, ForeignWalkDecodesOtherFormat)
     // A miss stops at the absent level.
     touches = 0;
     EXPECT_FALSE(walkForeign(mem_, fmt_, pt_->rootAddr(),
-                             va + (Addr{1} << 40), touch)
+                             va + (Addr{1} << 40), touch, {})
                      .has_value());
     EXPECT_LT(touches, static_cast<unsigned>(fmt_.levels()));
 }
 
 TEST_P(PageTableTest, ForeignDepthMatchesLocal)
 {
+    // The charged lookup finds the leaf entry the local chain built,
+    // loading one entry per upper level, root first.
     Addr va = 0x123456789000;
-    pt_->buildChain(va);
-    EXPECT_EQ(foreignPresentDepth(mem_, fmt_, pt_->rootAddr(), va,
-                                  nullptr),
-              pt_->presentDepth(va));
+    Addr leaf = pt_->buildChain(va);
+    std::vector<std::pair<AccessType, Addr>> touches;
+    auto found = findLeafEntry(mem_, fmt_, pt_->rootAddr(), va,
+                               [&](AccessType t, Addr a) {
+                                   touches.emplace_back(t, a);
+                               });
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(*found, leaf);
+    ASSERT_EQ(touches.size(),
+              static_cast<std::size_t>(fmt_.levels() - 1));
+    for (const auto &[type, addr] : touches)
+        EXPECT_EQ(type, AccessType::Load) << std::hex << addr;
+    EXPECT_EQ(touches.front().second,
+              pt_->rootAddr() + fmt_.indexOf(va, fmt_.levels() - 1) * 8);
 }
 
 TEST_P(PageTableTest, MapForeignRequiresLeafTable)
 {
     Addr va = 0x6000000000;
     PteAttrs a = rw();
-    // Without the chain the fast path must refuse.
-    EXPECT_FALSE(mapForeign(mem_, fmt_, other_, pt_->rootAddr(), va,
-                            0x9000, a, true, nullptr));
+    // Without the chain the fast path has no leaf entry to insert
+    // into.
+    EXPECT_FALSE(
+        findLeafEntry(mem_, fmt_, pt_->rootAddr(), va, {}).has_value());
     pt_->buildChain(va);
-    EXPECT_TRUE(mapForeign(mem_, fmt_, other_, pt_->rootAddr(), va,
-                           0x9000, a, true, nullptr));
+    auto leaf = findLeafEntry(mem_, fmt_, pt_->rootAddr(), va, {});
+    ASSERT_TRUE(leaf.has_value());
+    std::vector<std::pair<AccessType, Addr>> touches;
+    writeTaggedLeaf(mem_, other_, *leaf, 0x9000, a,
+                    [&](AccessType t, Addr ea) {
+                        touches.emplace_back(t, ea);
+                    });
+    // The insert is one charged store to the leaf entry.
+    ASSERT_EQ(touches.size(), 1u);
+    EXPECT_EQ(touches[0].first, AccessType::Store);
+    EXPECT_EQ(touches[0].second, *leaf);
     // Present now, and decodable through the foreign driver.
     auto w = pt_->walk(va);
     ASSERT_TRUE(w.has_value());
     EXPECT_EQ(w->pte.frame, 0x9000u);
-    // Double insert refused.
-    EXPECT_FALSE(mapForeign(mem_, fmt_, other_, pt_->rootAddr(), va,
-                            0xa000, a, true, nullptr));
+    // The remote walker reads it back as present in the writer's
+    // format, so a second fault shares the frame instead of
+    // inserting again.
+    DecodedPte d = readLeaf(mem_, fmt_, *leaf, va, {},
+                            [&](Addr) -> const PteFormat & {
+                                return other_;
+                            });
+    EXPECT_TRUE(d.attrs.present);
+    EXPECT_EQ(d.frame, 0x9000u);
+    EXPECT_EQ(d.attrs, a);
 }
 
 TEST_P(PageTableTest, ReconcileForeignRewritesNative)
@@ -186,17 +228,17 @@ TEST_P(PageTableTest, ReconcileForeignRewritesNative)
     Addr va = 0x6000000000;
     PteAttrs a = rw();
     a.dirty = true;
-    pt_->buildChain(va);
-    ASSERT_TRUE(mapForeign(mem_, fmt_, other_, pt_->rootAddr(), va,
-                           0x9000, a, true, nullptr));
+    Addr leaf = pt_->buildChain(va);
+    writeTaggedLeaf(mem_, other_, leaf, 0x9000, a, {});
     // The raw leaf carries the tag before reconciliation.
-    auto w = pt_->walk(va);
-    std::uint64_t raw = mem_.load<std::uint64_t>(w->pteAddr);
+    std::uint64_t raw = mem_.load<std::uint64_t>(leaf);
     EXPECT_TRUE(raw & foreignFormatTag);
 
-    EXPECT_TRUE(reconcileForeign(mem_, fmt_, other_, pt_->rootAddr(),
-                                 va));
-    raw = mem_.load<std::uint64_t>(w->pteAddr);
+    auto rewritten =
+        reconcileForeign(mem_, fmt_, other_, pt_->rootAddr(), va);
+    ASSERT_TRUE(rewritten.has_value());
+    EXPECT_EQ(*rewritten, leaf);
+    raw = mem_.load<std::uint64_t>(leaf);
     EXPECT_FALSE(raw & foreignFormatTag);
     DecodedPte d = fmt_.decode(raw, 0);
     EXPECT_TRUE(d.attrs.present);
@@ -204,32 +246,8 @@ TEST_P(PageTableTest, ReconcileForeignRewritesNative)
     EXPECT_EQ(d.attrs, a);
     // Second reconcile is a no-op.
     EXPECT_FALSE(reconcileForeign(mem_, fmt_, other_, pt_->rootAddr(),
-                                  va));
-}
-
-TEST_P(PageTableTest, UnmapForeignClearsLeaf)
-{
-    Addr va = 0x5000000000;
-    ASSERT_TRUE(pt_->map(va, alloc(), rw()));
-    EXPECT_TRUE(unmapForeign(mem_, fmt_, pt_->rootAddr(), va,
-                             nullptr));
-    EXPECT_FALSE(pt_->walk(va).has_value());
-    EXPECT_FALSE(unmapForeign(mem_, fmt_, pt_->rootAddr(), va,
-                              nullptr));
-}
-
-TEST_P(PageTableTest, MapForeignInNativeFormat)
-{
-    Addr va = 0x4000000000;
-    pt_->buildChain(va);
-    PteAttrs a = rw();
-    ASSERT_TRUE(mapForeign(mem_, fmt_, other_, pt_->rootAddr(), va,
-                           0xb000, a, false, nullptr));
-    auto w = pt_->walk(va);
-    ASSERT_TRUE(w.has_value());
-    std::uint64_t raw = mem_.load<std::uint64_t>(w->pteAddr);
-    EXPECT_FALSE(raw & foreignFormatTag);
-    EXPECT_EQ(fmt_.decode(raw, 0).frame, 0xb000u);
+                                  va)
+                     .has_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(Formats, PageTableTest,

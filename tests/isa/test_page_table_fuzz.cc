@@ -120,8 +120,9 @@ TEST_P(PageTableFuzz, AgreesWithReferenceModel)
                 ASSERT_EQ(w->pte.attrs.writable,
                           it->second.writable);
                 // The remote walker must agree byte-for-byte.
-                auto fw = walkForeign(mem, fmt, pt.rootAddr(), va,
-                                      nullptr, &other);
+                auto fw = walkForeign(
+                    mem, fmt, pt.rootAddr(), va, {},
+                    [&](Addr) -> const PteFormat & { return other; });
                 ASSERT_TRUE(fw.has_value());
                 ASSERT_EQ(fw->pte.frame, it->second.pa);
                 ASSERT_EQ(fw->pteAddr, w->pteAddr);
