@@ -183,6 +183,15 @@ class System
         return machine_->nodeAlive(node);
     }
 
+    /** True when @p node may take new work: alive and not frozen in
+     *  the crash manager's self-fenced degraded mode. */
+    bool
+    acceptsWork(NodeId node) const
+    {
+        return machine_->nodeAlive(node) &&
+               !(crash_ && crash_->isSelfFenced(node));
+    }
+
     /** Non-null when a crash is planned or the detector enabled. */
     CrashManager *crashManager() { return crash_.get(); }
 

@@ -85,21 +85,12 @@ KvFrontEnd::nodeClock(NodeId n) const
     return sys_.machine().node(n).cycles();
 }
 
-bool
-KvFrontEnd::degradedNode(NodeId node) const
-{
-    if (!sys_.machine().nodeAlive(node))
-        return true;
-    CrashManager *cm = sys_.crashManager();
-    return cm && cm->isSelfFenced(node);
-}
-
 Errc
 KvFrontEnd::inject(Cycles arrival, KvOp op, std::uint64_t key,
                    NodeId ingress)
 {
     panic_if(ingress >= queues_.size(), "inject at unknown node");
-    if (degradedNode(ingress)) {
+    if (!sys_.acceptsWork(ingress)) {
         // The node's socket is fenced (or the node is gone): refuse
         // at the door, before any queueing or clock charge. Nothing
         // is acknowledged, so nothing can be lost.
@@ -190,7 +181,7 @@ KvFrontEnd::serveOne(NodeId ingress, const PendingRequest &req)
     // lands after admission: shed it here (no latency sample, no
     // served count) — the store would refuse it anyway, and a dead
     // owner's clock cannot be charged.
-    if (degradedNode(ingress) || degradedNode(owner)) {
+    if (!sys_.acceptsWork(ingress) || !sys_.acceptsWork(owner)) {
         ++degradedShed_;
         machine.tracer().instant(TraceCategory::App,
                                  "load.degraded_shed", ingress, 0,
@@ -385,14 +376,14 @@ KvFrontEnd::stealPending()
     unsigned batch = sched->config().stealBatch;
     bool moved = false;
     for (NodeId thief = 0; thief < queues_.size(); ++thief) {
-        if (!queues_[thief].empty() || degradedNode(thief))
+        if (!queues_[thief].empty() || !sys_.acceptsWork(thief))
             continue;
         // Deepest ingress queue worth robbing (>= 2 so the victim's
         // loop keeps its head request).
         NodeId victim = invalidNode;
         std::size_t bestDepth = 1;
         for (NodeId n = 0; n < queues_.size(); ++n) {
-            if (n == thief || degradedNode(n))
+            if (n == thief || !sys_.acceptsWork(n))
                 continue;
             if (queues_[n].size() > bestDepth) {
                 victim = n;

@@ -177,11 +177,6 @@ class KvFrontEnd
         return sys_.config().osDesign == OsDesign::FusedKernel;
     }
 
-    /** True when @p node is dead or partition-fenced: its ingress
-     *  socket refuses work (degraded_shed) instead of queueing
-     *  requests it could lose. */
-    bool degradedNode(NodeId node) const;
-
     Cycles nodeClock(NodeId n) const;
 
     /** Run batches on @p node while they start before @p horizon. */

@@ -114,16 +114,6 @@ Scheduler::~Scheduler()
     sys_.unregisterExternalStatGroup(&stats_);
 }
 
-bool
-Scheduler::nodeUsable(NodeId n) const
-{
-    if (!sys_.machine().nodeAlive(n))
-        return false;
-    const CrashManager *cm =
-        const_cast<System &>(sys_).crashManager();
-    return !(cm && cm->isSelfFenced(n));
-}
-
 std::uint64_t
 Scheduler::loadOf(NodeId n) const
 {
@@ -136,7 +126,7 @@ Scheduler::leastLoaded() const
     NodeId best = invalidNode;
     std::uint64_t bestLoad = 0;
     for (NodeId n = 0; n < queues_.size(); ++n) {
-        if (!nodeUsable(n))
+        if (!sys_.acceptsWork(n))
             continue;
         std::uint64_t load = loadOf(n);
         if (best == invalidNode || load < bestLoad) {
@@ -166,7 +156,7 @@ Scheduler::place(const PlacementHints &hints)
         for (std::size_t step = 0; step < n; ++step) {
             NodeId cand =
                 static_cast<NodeId>((rrNext_ + step) % n);
-            if (!nodeUsable(cand))
+            if (!sys_.acceptsWork(cand))
                 continue;
             if (hints.preferIsa &&
                 sys_.kernel(cand).isa() != *hints.preferIsa)
@@ -278,7 +268,7 @@ Scheduler::runBlockOn(NodeId node, std::size_t block)
 {
     // A dead node's items stay queued until the recovery hook drains
     // them to a survivor (fused) or declares them lost (Popcorn).
-    if (!nodeUsable(node))
+    if (!sys_.acceptsWork(node))
         return;
     auto &q = queues_[node];
     std::size_t n = std::min(q.size(), block);
@@ -313,7 +303,7 @@ Scheduler::chooseVictim(NodeId thief) const
     NodeId best = invalidNode;
     std::size_t bestDepth = 1; // need >= 2: the victim keeps one
     for (NodeId n = 0; n < queues_.size(); ++n) {
-        if (n == thief || !nodeUsable(n))
+        if (n == thief || !sys_.acceptsWork(n))
             continue;
         if (queues_[n].size() > bestDepth) {
             best = n;
@@ -396,13 +386,13 @@ Scheduler::stealRound()
 {
     // Depth histogram: one sample per usable node per round.
     for (NodeId n = 0; n < queues_.size(); ++n) {
-        if (nodeUsable(n))
+        if (sys_.acceptsWork(n))
             depthHist_->sample(queues_[n].size());
     }
     if (!cfg_.stealing)
         return;
     for (NodeId thief = 0; thief < queues_.size(); ++thief) {
-        if (!nodeUsable(thief) || !queues_[thief].empty())
+        if (!sys_.acceptsWork(thief) || !queues_[thief].empty())
             continue;
         NodeId victim = chooseVictim(thief);
         if (victim == invalidNode)

@@ -179,7 +179,6 @@ class Scheduler final : public Placer
     std::uint64_t crashHookToken_ = 0;
     bool registered_ = false;
 
-    bool nodeUsable(NodeId n) const;
     std::uint64_t loadOf(NodeId n) const;
     NodeId leastLoaded() const;
     /** Items the victim may give up right now (keeps >= 1). */

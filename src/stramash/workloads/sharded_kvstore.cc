@@ -54,15 +54,6 @@ ShardedKvStore::ShardedKvStore(System &sys, ShardedKvConfig cfg)
     breakerOpen_.assign(servers_.size(), 0);
 }
 
-bool
-ShardedKvStore::degradedNode(NodeId node) const
-{
-    if (!sys_.machine().nodeAlive(node))
-        return true;
-    CrashManager *cm = sys_.crashManager();
-    return cm && cm->isSelfFenced(node);
-}
-
 Addr
 ShardedKvStore::slotAddr(NodeId shard, std::uint64_t key) const
 {
@@ -153,7 +144,8 @@ ShardedKvStore::exec(KvOp op, std::uint64_t key, NodeId ingress)
     // Errc::Degraded; the host-side mirror never learns of the
     // request, which is what makes "zero acknowledged-write loss"
     // checkable by verify().
-    if (degradedNode(ingress) || degradedNode(serverNode_[shard])) {
+    if (!sys_.acceptsWork(ingress) ||
+        !sys_.acceptsWork(serverNode_[shard])) {
         ++shed_;
         return Errc::Degraded;
     }

@@ -166,10 +166,6 @@ class ShardedKvStore
      *  full retry/backoff budget per request. */
     std::vector<std::uint8_t> breakerOpen_;
 
-    /** True when @p node cannot take new work: machine-dead or
-     *  frozen in the self-fenced degraded mode. */
-    bool degradedNode(NodeId node) const;
-
     /** Ingress-side socket work, plus forwarding when @p shard's
      *  server lives on another node. */
     Errc ingressPath(NodeId ingress, NodeId shard);
