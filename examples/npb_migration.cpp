@@ -18,7 +18,8 @@ using namespace stramash;
 namespace
 {
 
-void
+/** Run @p kernel under @p design; returns whether it verified. */
+bool
 runDesign(OsDesign design, const std::string &kernel,
           const NpbConfig &ncfg)
 {
@@ -55,6 +56,7 @@ runDesign(OsDesign design, const std::string &kernel,
                     static_cast<unsigned long long>(
                         sys.machine().ipisReceived(n)));
     }
+    return r.verified;
 }
 
 } // namespace
@@ -76,8 +78,8 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(ncfg.problemBytes),
                 ncfg.iterations);
 
-    runDesign(OsDesign::MultipleKernel, kernel, ncfg);
+    bool ok = runDesign(OsDesign::MultipleKernel, kernel, ncfg);
     std::printf("\n");
-    runDesign(OsDesign::FusedKernel, kernel, ncfg);
-    return 0;
+    ok = runDesign(OsDesign::FusedKernel, kernel, ncfg) && ok;
+    return ok ? 0 : 1;
 }

@@ -17,7 +17,9 @@ using namespace stramash;
 namespace
 {
 
-void
+/** One run under @p design; returns whether the origin read the
+ *  sum back. */
+bool
 runOnce(OsDesign design)
 {
     SystemConfig cfg;
@@ -70,6 +72,7 @@ runOnce(OsDesign design)
                     sys.machine().node(1).cycles()));
     std::printf("  total runtime:        %llu cycles\n\n",
                 static_cast<unsigned long long>(sys.runtime()));
+    return check == sum;
 }
 
 } // namespace
@@ -79,7 +82,7 @@ main()
 {
     std::printf("Stramash quickstart: one app, two ISAs, two OS "
                 "designs\n\n");
-    runOnce(OsDesign::MultipleKernel);
-    runOnce(OsDesign::FusedKernel);
-    return 0;
+    bool ok = runOnce(OsDesign::MultipleKernel);
+    ok = runOnce(OsDesign::FusedKernel) && ok;
+    return ok ? 0 : 1;
 }
