@@ -1,6 +1,5 @@
 #include "stramash/fused/stramash.hh"
 
-
 namespace stramash
 {
 
