@@ -53,11 +53,10 @@ main()
     std::printf("\nprocess-migrating pid %u to the %s kernel...\n",
                 app.pid(), isaName(sys.kernel(1).isa()));
     sys.migrateProcess(app.pid(), 1);
+    bool intact = app.read<std::uint64_t>(buf + 5 * pageSize) == 16;
     std::printf("now origin=%u, data intact: %s, messages used: %llu\n",
                 sys.kernel(1).task(app.pid()).origin,
-                app.read<std::uint64_t>(buf + 5 * pageSize) == 16
-                    ? "yes"
-                    : "NO",
+                intact ? "yes" : "NO",
                 static_cast<unsigned long long>(sys.messagesSent()));
 
     // --- the guard ------------------------------------------------------
@@ -72,5 +71,5 @@ main()
                 "(data region + page-table frames)\n",
                 static_cast<unsigned long long>(
                     sys.remoteGuard().exposedBytes(0) >> 10));
-    return 0;
+    return intact && sys.remoteGuard().violations() == 0 ? 0 : 1;
 }
