@@ -16,7 +16,15 @@
  *  - fused and Popcorn NPB IS and FT on a cached four-node machine,
  *    whose offload hops visit every peer, so coherence snoops reach
  *    three other hierarchies and tagged leaves come from writers of
- *    both ISAs.
+ *    both ISAs;
+ *  - the Fig. 14 kv-store served from a migrated thread (fused,
+ *    Popcorn-SHM, Popcorn-TCP), whose socket operations reach the
+ *    origin;
+ *  - the sharded kv-store and the open-loop front end (hot-key cache,
+ *    queue stealing) on four nodes, both designs;
+ *  - a Popcorn crash recovery (task reaping, DSM re-ownership), a
+ *    four-node false suspicion outvoted by the quorum and then a real
+ *    crash (both designs), and a four-node Popcorn sever and heal.
  *
  * A refactor must leave every hash unchanged. A deliberate model
  * change re-records them: the failure message prints the new value.
@@ -30,19 +38,25 @@
 #include "common/bench_util.hh"
 #include "fnv.hh"
 #include "stramash/common/units.hh"
+#include "stramash/load/engine.hh"
+#include "stramash/sched/scheduler.hh"
 #include "stramash/trace/json_stats.hh"
+#include "stramash/workloads/kvstore.hh"
 
 using namespace stramash;
 
 namespace
 {
 
-/** Hash of @p sys's stats JSON and per-node clocks. */
+/** Hash of @p sys's stats JSON, plus the @p extra stat groups the
+ *  System does not export, and its per-node clocks. */
 std::uint64_t
-digest(System &sys)
+digest(System &sys, std::initializer_list<const StatGroup *> extra = {})
 {
     JsonStatsExporter exporter;
     sys.forEachStatGroup([&](const StatGroup &g) { exporter.add(g); });
+    for (const StatGroup *g : extra)
+        exporter.add(*g);
     std::ostringstream os;
     exporter.writeGroupsObject(os);
     Fnv h;
@@ -162,6 +176,107 @@ fourNodeDigest(OsDesign design, const char *kernel)
     ncfg.placer = &placer;
     sys.resetExperimentCounters();
     EXPECT_TRUE(makeNpbKernel(kernel)->run(app, ncfg).verified);
+    return digest(sys);
+}
+
+/** Fig. 14's server, migrated off its socket's node, serving a few
+ *  requests of every operation. */
+std::uint64_t
+kvServerDigest(OsDesign design, Transport transport)
+{
+    SystemConfig cfg;
+    cfg.osDesign = design;
+    cfg.transport = transport;
+    cfg.cachePluginEnabled = false;
+    System sys(cfg);
+    App app(sys, 0);
+    KvStore store(app, 64, 1024);
+    store.populate();
+    app.migrateToNext();
+    Rng rng(42);
+    for (KvOp op : allKvOps())
+        store.measureRound(op, 3, rng);
+    EXPECT_EQ(store.listLength(), 32u);
+    return digest(sys);
+}
+
+/** A system of four alternating nodes with the cache model off. */
+SystemConfig
+fourNodeKvConfig(OsDesign design)
+{
+    SystemConfig cfg;
+    cfg.osDesign = design;
+    cfg.cachePluginEnabled = false;
+    cfg.topology = TopologySpec::alternating(4, MemoryModel::Shared);
+    return cfg;
+}
+
+std::uint64_t
+shardedKvDigest(OsDesign design)
+{
+    System sys(fourNodeKvConfig(design));
+    ShardedKvStore store(sys);
+    store.populate();
+    store.run(64);
+    EXPECT_TRUE(store.verify());
+    EXPECT_GT(store.crossShardRequests(), 0u);
+    return digest(sys);
+}
+
+std::uint64_t
+openLoopDigest(OsDesign design)
+{
+    System sys(fourNodeKvConfig(design));
+    ShardedKvConfig kcfg;
+    kcfg.keysPerShard = 32;
+    ShardedKvStore store(sys, kcfg);
+    store.populate();
+    Scheduler sched(sys);
+    ServiceConfig scfg;
+    scfg.hotKeyCache = true;
+    scfg.sched = &sched;
+    KvFrontEnd fe(sys, store, scfg);
+    OpenLoopConfig ocfg;
+    ocfg.arrival = ArrivalConfig::poisson(400.0, 5);
+    ocfg.keys = KeyDistConfig::zipfian(store.keySpace(), 0.99, 6);
+    ocfg.requests = 256;
+    ocfg.seed = 7;
+    OpenLoopReport rep = OpenLoopEngine(ocfg).run(fe);
+    EXPECT_TRUE(store.verify());
+    EXPECT_EQ(rep.served, rep.accepted);
+    EXPECT_GT(rep.cacheHits, 0u);
+    EXPECT_GT(fe.stats().value("queue_steals"), 0u);
+    return digest(sys, {&fe.stats(), &sched.stats()});
+}
+
+/** A task born on node 1 of four works from node 0; node 0 falsely
+ *  suspects node 1 and is outvoted by nodes 2 and 3; then node 1
+ *  really dies, the quorum agrees, and node 0 recovers the task. */
+std::uint64_t
+quorumDigest(OsDesign design)
+{
+    SystemConfig cfg;
+    cfg.osDesign = design;
+    cfg.topology = TopologySpec::alternating(4, MemoryModel::Shared);
+    cfg.crash.enabled = true;
+    System sys(cfg);
+    App app(sys, 1);
+    Addr a = app.mmap(8 * pageSize);
+    Addr b = app.mmap(4 * pageSize);
+    fill(app, a, 8, 0xa000);
+    app.migrate(0);
+    expectFilled(app, a, 8, 0xa000);
+    fill(app, b, 4, 0xb000);
+    CrashManager &cm = *sys.crashManager();
+    cm.forceSuspicion(0, 1);
+    EXPECT_FALSE(cm.isDeclaredDead(1));
+    EXPECT_EQ(cm.recovery().value("suspicions_outvoted"), 1u);
+    sys.killNode(1);
+    cm.forceSuspicion(0, 1);
+    EXPECT_TRUE(cm.isDeclaredDead(1));
+    expectFilled(app, a, 8, 0xa000);
+    expectFilled(app, b, 4, 0xb000);
+    EXPECT_EQ(app.where(), 0u);
     return digest(sys);
 }
 
@@ -295,4 +410,129 @@ TEST(Golden, PopcornFourNodeFt)
 {
     std::uint64_t h = fourNodeDigest(OsDesign::MultipleKernel, "ft");
     EXPECT_EQ(h, 0xa1f8c7ca0e6c037eull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, FusedKvServer)
+{
+    std::uint64_t h =
+        kvServerDigest(OsDesign::FusedKernel, Transport::SharedMemory);
+    EXPECT_EQ(h, 0xf0a34116e0e96ddeull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, PopcornShmKvServer)
+{
+    std::uint64_t h = kvServerDigest(OsDesign::MultipleKernel,
+                                     Transport::SharedMemory);
+    EXPECT_EQ(h, 0x04aef3f16a64c568ull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, PopcornTcpKvServer)
+{
+    std::uint64_t h =
+        kvServerDigest(OsDesign::MultipleKernel, Transport::Network);
+    EXPECT_EQ(h, 0x60784b54cd751e41ull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, FusedShardedKv)
+{
+    std::uint64_t h = shardedKvDigest(OsDesign::FusedKernel);
+    EXPECT_EQ(h, 0xc8633d9ec39e6976ull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, PopcornShardedKv)
+{
+    std::uint64_t h = shardedKvDigest(OsDesign::MultipleKernel);
+    EXPECT_EQ(h, 0x98bdca2b0d37d4a9ull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, FusedOpenLoopKv)
+{
+    std::uint64_t h = openLoopDigest(OsDesign::FusedKernel);
+    EXPECT_EQ(h, 0x3e733d59aa708feaull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, PopcornOpenLoopKv)
+{
+    std::uint64_t h = openLoopDigest(OsDesign::MultipleKernel);
+    EXPECT_EQ(h, 0x12e0fa04c382b007ull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, PopcornCrashRecovery)
+{
+    // Task a replicates its pages onto node 1 and moves there; task b
+    // stays on node 0. Node 0 dies: b is reaped, a's origin moves to
+    // node 1, which re-owns the pages it holds copies of.
+    SystemConfig cfg;
+    cfg.osDesign = OsDesign::MultipleKernel;
+    cfg.crash.enabled = true;
+    System sys(cfg);
+    App a(sys, 0);
+    App b(sys, 0);
+    Addr abuf = a.mmap(8 * pageSize);
+    Addr bbuf = b.mmap(2 * pageSize);
+    fill(a, abuf, 8, 0xa000);
+    fill(b, bbuf, 2, 0xb000);
+    a.migrateToNext();
+    expectFilled(a, abuf, 8, 0xa000);
+    sys.killNode(0);
+    CrashManager &cm = *sys.crashManager();
+    for (unsigned i = 0; i < 400 && !cm.isDeclaredDead(0); ++i)
+        a.compute(50'000);
+    ASSERT_TRUE(cm.isDeclaredDead(0));
+    EXPECT_TRUE(cm.taskReaped(b.pid()));
+    EXPECT_GE(cm.recovery().value("dsm_pages_reowned"), 8u);
+    expectFilled(a, abuf, 8, 0xa000);
+    std::uint64_t h = digest(sys);
+    EXPECT_EQ(h, 0x2d19df35882119ceull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, FusedFourNodeQuorum)
+{
+    std::uint64_t h = quorumDigest(OsDesign::FusedKernel);
+    EXPECT_EQ(h, 0x6a4b8b3364607ec3ull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, PopcornFourNodeQuorum)
+{
+    std::uint64_t h = quorumDigest(OsDesign::MultipleKernel);
+    EXPECT_EQ(h, 0x0bdcc75bd35a7b13ull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, PopcornFourNodeSeverHeal)
+{
+    // Node 1 loses its link to node 0 and suspects it: nodes 2 and 3
+    // still reach both and outvote it. Then node 3 is cut off from
+    // everyone: it fences itself and sheds work, the majority
+    // declares it, and the heal brings it back.
+    SystemConfig cfg = fourNodeKvConfig(OsDesign::MultipleKernel);
+    cfg.crash.enabled = true;
+    cfg.crash.pingIntervalCycles = Cycles{1} << 60;
+    cfg.faultPlan = FaultPlan{};
+    System sys(cfg);
+    ShardedKvStore store(sys);
+    store.populate();
+    store.run(32);
+    CrashManager &cm = *sys.crashManager();
+
+    sys.severLink(0, 1);
+    cm.forceSuspicion(1, 0);
+    EXPECT_FALSE(cm.isDeclaredDead(0));
+    EXPECT_EQ(cm.recovery().value("suspicions_outvoted"), 1u);
+    store.run(32);
+    sys.healLink(0, 1);
+
+    for (NodeId n = 0; n < 3; ++n)
+        sys.severLink(n, 3);
+    cm.forceSuspicion(3, 0);
+    EXPECT_TRUE(cm.isSelfFenced(3));
+    store.run(32);
+    EXPECT_GT(store.requestsShed(), 0u);
+    EXPECT_TRUE(store.verify());
+    cm.forceSuspicion(0, 3);
+    EXPECT_TRUE(cm.isDeclaredDead(3));
+    for (NodeId n = 0; n < 3; ++n)
+        sys.healLink(n, 3);
+    EXPECT_TRUE(sys.isNodeAlive(3));
+    std::uint64_t h = digest(sys);
+    EXPECT_EQ(h, 0x7c92239e74c122cfull) << std::hex << "hash 0x" << h;
 }
