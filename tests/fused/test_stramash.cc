@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "stramash/core/app.hh"
 
 using namespace stramash;
@@ -87,6 +89,70 @@ TEST_F(StramashTest, FastPathInsertsForeignFormatPte)
     // And the frame came from the *remote* kernel's memory (Arm
     // local memory starts at 1.5 GiB).
     EXPECT_GE(w->pte.frame, Addr{1536} << 20);
+}
+
+TEST_F(StramashTest, FastPathWalksThenZeroesThenStoresTaggedLeaf)
+{
+    App app(*sys_, 0);
+    Addr buf = app.mmap(8 * pageSize);
+    app.write<std::uint64_t>(buf, 1);
+    app.migrateToNext();
+    Addr va = buf + pageSize;
+
+    struct Access
+    {
+        NodeId node;
+        AccessType type;
+        Addr pa;
+        unsigned size;
+    };
+    std::vector<Access> trace;
+    sys_->machine().setTraceHooks(
+        [&](NodeId n, AccessType t, Addr pa, unsigned size) {
+            trace.push_back({n, t, pa, size});
+        },
+        nullptr);
+    app.write<std::uint64_t>(va, 42);
+    sys_->machine().clearTraceHooks();
+    ASSERT_EQ(shared().foreignInsertions, 1u);
+
+    // The origin table's upper-level entries for va, root first, its
+    // leaf entry, and the frame the remote kernel allocated.
+    const PageTable &opt =
+        sys_->kernel(0).task(app.pid()).as->pageTable();
+    std::vector<Addr> upper;
+    std::optional<Addr> leafEa = findLeafEntry(
+        sys_->machine().memory(), opt.format(), opt.rootAddr(), va,
+        [&](AccessType, Addr a) { upper.push_back(a); });
+    ASSERT_TRUE(leafEa.has_value());
+    ASSERT_EQ(upper.size(),
+              static_cast<std::size_t>(opt.format().levels() - 1));
+    Addr frame = opt.walk(va)->pte.frame;
+
+    std::vector<Access> want;
+    for (Addr a : upper)
+        want.push_back({1, AccessType::Load, a, 8});
+    want.push_back({1, AccessType::Load, *leafEa, 8});
+    want.push_back({1, AccessType::Store, frame, pageSize});
+    want.push_back({1, AccessType::Store, *leafEa, 8});
+
+    std::vector<Access> seen;
+    for (const Access &a : trace) {
+        bool entry = a.size == 8 &&
+                     (a.pa == *leafEa ||
+                      std::find(upper.begin(), upper.end(), a.pa) !=
+                          upper.end());
+        bool zeroing = a.pa == frame && a.size == pageSize;
+        if (entry || zeroing)
+            seen.push_back(a);
+    }
+    ASSERT_EQ(seen.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(seen[i].node, want[i].node) << "access " << i;
+        EXPECT_EQ(seen[i].type, want[i].type) << "access " << i;
+        EXPECT_EQ(seen[i].pa, want[i].pa) << "access " << i;
+        EXPECT_EQ(seen[i].size, want[i].size) << "access " << i;
+    }
 }
 
 TEST_F(StramashTest, MigrateBackReconcilesForeignPtes)
