@@ -47,7 +47,7 @@ main()
         gcfg.blockSize = sliceBytes;
         std::vector<KernelInstance *> ks{&sys.kernel(0),
                                          &sys.kernel(1)};
-        GlobalMemoryAllocator gma(sys.machine(), ks, gcfg);
+        GlobalMemoryAllocator gma(sys.machine(), sys.msg(), ks, gcfg);
 
         AddrRange b0{4_GiB, 4_GiB + sliceBytes};
         // A second block when it fits; otherwise the Arm kernel

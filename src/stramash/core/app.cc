@@ -88,20 +88,12 @@ App::migrate(NodeId dest)
 NodeId
 App::migrateToNext()
 {
-    NodeId cur = where();
-    std::size_t n = sys_.nodeCount();
-    panic_if(n < 2, "migrateToNext: no other node to migrate to");
-    for (std::size_t step = 1; step < n; ++step) {
-        NodeId cand = static_cast<NodeId>((cur + step) % n);
-        if (sys_.isNodeAlive(cand)) {
-            migrate(cand);
-            return cand;
-        }
-    }
-    // Every peer is dead. Attempt the cyclic successor anyway: the
+    panic_if(sys_.nodeCount() < 2,
+             "migrateToNext: no other node to migrate to");
+    // Every peer dead: the cyclic successor is attempted anyway and the
     // migration layer refuses it (migrations_refused_dead), exactly
     // like the historical two-node dead-peer path.
-    NodeId cand = static_cast<NodeId>((cur + 1) % n);
+    NodeId cand = sys_.nextAlivePeer(where());
     migrate(cand);
     return cand;
 }

@@ -63,8 +63,6 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
 
     if (cfg.osDesign == OsDesign::MultipleKernel) {
         dsmEngine_ = std::make_unique<DsmEngine>(*msg_, lookup());
-        popcornFault_ =
-            std::make_unique<PopcornFaultHandler>(*dsmEngine_);
         popcornFutex_ =
             std::make_unique<PopcornFutexPolicy>(*msg_, lookup());
         popcornMigration_ = std::make_unique<PopcornMigrationPolicy>(
@@ -73,7 +71,7 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
             dsmEngine_->installHandlers(*k);
             popcornFutex_->installHandlers(*k);
             popcornMigration_->installHandlers(*k);
-            k->setFaultHandler(popcornFault_.get());
+            k->setFaultHandler(dsmEngine_.get());
             // Shared-nothing: each kernel has distinct namespaces.
             k->namespaces().pidNs = 0x1000 + k->nodeId();
             k->namespaces().mountNs = 0x2000 + k->nodeId();
@@ -118,7 +116,7 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
             for (auto &k : kernels_)
                 ks.push_back(k.get());
             gma_ = std::make_unique<GlobalMemoryAllocator>(
-                *machine_, ks, cfg.gma, reserved, msg_.get());
+                *machine_, *msg_, ks, cfg.gma, reserved);
             for (auto &k : kernels_) {
                 k->setLowMemoryHook([this](KernelInstance &ki) {
                     return gma_->onLowMemory(ki);
@@ -182,6 +180,18 @@ System::firstAliveFrom(NodeId from) const
             return cand;
     }
     panic("firstAliveFrom: every node is dead");
+}
+
+NodeId
+System::nextAlivePeer(NodeId from) const
+{
+    std::size_t n = kernels_.size();
+    for (std::size_t step = 1; step < n; ++step) {
+        NodeId cand = static_cast<NodeId>((from + step) % n);
+        if (machine_->nodeAlive(cand))
+            return cand;
+    }
+    return static_cast<NodeId>((from + 1) % n);
 }
 
 NodeId

@@ -125,6 +125,10 @@ class System
     /** First alive node at or cyclically after @p from. */
     NodeId firstAliveFrom(NodeId from) const;
 
+    /** First alive node cyclically after @p from, not @p from itself;
+     *  the cyclic successor when every peer is dead. */
+    NodeId nextAlivePeer(NodeId from) const;
+
     /** Terminate the process on every kernel hosting it. */
     void exit(Pid pid);
 
@@ -259,7 +263,6 @@ class System
 
     // Popcorn policy set.
     std::unique_ptr<DsmEngine> dsmEngine_;
-    std::unique_ptr<PopcornFaultHandler> popcornFault_;
     std::unique_ptr<PopcornFutexPolicy> popcornFutex_;
     std::unique_ptr<PopcornMigrationPolicy> popcornMigration_;
 

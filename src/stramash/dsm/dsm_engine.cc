@@ -56,12 +56,6 @@ DsmEngine::isManaged(Pid pid, Addr vpage) const
 }
 
 void
-DsmEngine::adopt(Pid pid, Addr vpage, NodeId owner)
-{
-    state(pid, vpage, owner).owner = owner;
-}
-
-void
 DsmEngine::forgetTask(Pid pid)
 {
     auto it = pages_.lower_bound({pid, 0});
@@ -258,9 +252,48 @@ DsmEngine::onVmaRequest(KernelInstance &k, const Message &m)
     msg_.send(resp);
 }
 
+std::optional<Message>
+DsmEngine::pageRound(KernelInstance &k, NodeId owner, Pid pid, Addr vpage,
+                     std::uint64_t flags)
+{
+    Message req;
+    req.type = MsgType::PageRequest;
+    req.from = k.nodeId();
+    req.to = owner;
+    req.arg0 = pid;
+    req.arg1 = vpage;
+    req.arg2 = flags;
+    auto resp = msg_.tryRpc(req, MsgType::PageResponse);
+    if (!resp)
+        k.stats().counter("dsm_rounds_unreachable") += 1;
+    return resp;
+}
+
 void
-DsmEngine::handlePageFault(KernelInstance &kernel, Task &task, Addr va,
-                           XlateStatus kind, AccessType type)
+DsmEngine::fetchPage(KernelInstance &k, Task &t, Addr vpage,
+                     PageState &st, bool write)
+{
+    NodeId self = k.nodeId();
+    auto resp = pageRound(k, st.owner, t.pid, vpage, write ? flagWrite : 0);
+    if (!resp)
+        return; // page unchanged; resolve() re-faults and retries
+    installCopy(k, t, vpage, resp->payload, write);
+    ++replicated_;
+    k.machine().tracer().instant(TraceCategory::Fault,
+                                 "fault.dsm_replicate", self, t.pid,
+                                 vpage, st.owner);
+    touchMeta(k, t.pid, vpage, AccessType::Store);
+    if (write) {
+        st.owner = self;
+        st.holders = 1u << self;
+    } else {
+        st.holders |= 1u << self;
+    }
+}
+
+void
+DsmEngine::handleFault(KernelInstance &kernel, Task &task, Addr va,
+                       XlateStatus kind, AccessType type)
 {
     Addr vpage = pageBase(va);
     NodeId self = kernel.nodeId();
@@ -275,8 +308,6 @@ DsmEngine::handlePageFault(KernelInstance &kernel, Task &task, Addr va,
     // The Linux fault path + DSM protocol machine on the requester.
     kernel.machine().stall(self, faultCpuCycles);
 
-    bool wantWrite = type == AccessType::Store;
-
     if (kind == XlateStatus::NotMapped) {
         if (st.owner == self) {
             // First touch at the owner: plain anonymous fault.
@@ -285,49 +316,12 @@ DsmEngine::handlePageFault(KernelInstance &kernel, Task &task, Addr va,
             st.holders |= selfBit;
             return;
         }
-
         // Popcorn allocates anonymous pages at the origin: a fresh
         // remote touch costs an allocation round before replication
         // (paper §6.4: "at least 2 rounds of message passing").
-        if (fresh) {
-            Message alloc;
-            alloc.type = MsgType::PageRequest;
-            alloc.from = self;
-            alloc.to = st.owner;
-            alloc.arg0 = pid;
-            alloc.arg1 = vpage;
-            alloc.arg2 = flagAllocOnly;
-            if (!msg_.tryRpc(alloc, MsgType::PageResponse)) {
-                kernel.stats().counter("dsm_rounds_unreachable") += 1;
-                return; // page still unmapped; resolve() retries
-            }
-        }
-
-        Message req;
-        req.type = MsgType::PageRequest;
-        req.from = self;
-        req.to = st.owner;
-        req.arg0 = pid;
-        req.arg1 = vpage;
-        req.arg2 = wantWrite ? flagWrite : 0;
-        auto resp = msg_.tryRpc(req, MsgType::PageResponse);
-        if (!resp) {
-            kernel.stats().counter("dsm_rounds_unreachable") += 1;
-            return;
-        }
-
-        installCopy(kernel, task, vpage, resp->payload, wantWrite);
-        ++replicated_;
-        kernel.machine().tracer().instant(TraceCategory::Fault,
-                                          "fault.dsm_replicate", self,
-                                          pid, vpage, st.owner);
-        touchMeta(kernel, pid, vpage, AccessType::Store);
-        if (wantWrite) {
-            st.owner = self;
-            st.holders = selfBit;
-        } else {
-            st.holders |= selfBit;
-        }
+        if (fresh && !pageRound(kernel, st.owner, pid, vpage, flagAllocOnly))
+            return; // page still unmapped; resolve() retries
+        fetchPage(kernel, task, vpage, st, type == AccessType::Store);
         return;
     }
 
@@ -338,56 +332,37 @@ DsmEngine::handlePageFault(KernelInstance &kernel, Task &task, Addr va,
     panic_if(!vma->prot.writable,
              "write to read-only VMA at 0x", std::hex, va);
 
-    if (st.owner == self) {
-        // We own it; invalidate the other read copies. Holder bits
-        // clear incrementally so an aborted round never re-counts the
-        // copies already invalidated when the fault retries.
-        for (NodeId n = 0; n < 32; ++n) {
-            if (n == self || !(st.holders & (1u << n)))
-                continue;
-            Message inv;
-            inv.type = MsgType::PageInvalidate;
-            inv.from = self;
-            inv.to = n;
-            inv.arg0 = pid;
-            inv.arg1 = vpage;
-            if (!msg_.tryRpc(inv, MsgType::PageInvalidateAck)) {
-                kernel.stats().counter("dsm_rounds_unreachable") += 1;
-                return; // page stays read-only; resolve() retries
-            }
-            st.holders &= ~(1u << n);
-            ++invalidations_;
-            kernel.machine().tracer().instant(
-                TraceCategory::Fault, "fault.dsm_invalidate", self, pid,
-                vpage, n);
+    if (st.owner != self) {
+        // Someone else owns it: request write ownership (ships
+        // content — the owner may have newer data than our stale read
+        // copy).
+        fetchPage(kernel, task, vpage, st, true);
+        return;
+    }
+    // We own it; invalidate the other read copies. Holder bits clear
+    // incrementally so an aborted round never re-counts the copies
+    // already invalidated when the fault retries.
+    for (NodeId n = 0; n < 32; ++n) {
+        if (n == self || !(st.holders & (1u << n)))
+            continue;
+        Message inv;
+        inv.type = MsgType::PageInvalidate;
+        inv.from = self;
+        inv.to = n;
+        inv.arg0 = pid;
+        inv.arg1 = vpage;
+        if (!msg_.tryRpc(inv, MsgType::PageInvalidateAck)) {
+            kernel.stats().counter("dsm_rounds_unreachable") += 1;
+            return; // page stays read-only; resolve() retries
         }
-        st.holders = selfBit;
-        task.as->protectPage(vpage, vmaPageAttrs(*vma, true));
-        touchMeta(kernel, pid, vpage, AccessType::Store);
-        return;
+        st.holders &= ~(1u << n);
+        ++invalidations_;
+        kernel.machine().tracer().instant(
+            TraceCategory::Fault, "fault.dsm_invalidate", self, pid,
+            vpage, n);
     }
-
-    // Someone else owns it: request write ownership (ships content —
-    // the owner may have newer data than our stale read copy).
-    Message req;
-    req.type = MsgType::PageRequest;
-    req.from = self;
-    req.to = st.owner;
-    req.arg0 = pid;
-    req.arg1 = vpage;
-    req.arg2 = flagWrite;
-    auto resp = msg_.tryRpc(req, MsgType::PageResponse);
-    if (!resp) {
-        kernel.stats().counter("dsm_rounds_unreachable") += 1;
-        return;
-    }
-    installCopy(kernel, task, vpage, resp->payload, true);
-    ++replicated_;
-    kernel.machine().tracer().instant(TraceCategory::Fault,
-                                      "fault.dsm_replicate", self, pid,
-                                      vpage, st.owner);
-    st.owner = self;
     st.holders = selfBit;
+    task.as->protectPage(vpage, vmaPageAttrs(*vma, true));
     touchMeta(kernel, pid, vpage, AccessType::Store);
 }
 

@@ -16,10 +16,11 @@
  *    two message rounds — allocation at the origin, then replication
  *    — exactly as the paper describes Popcorn's behaviour.
  *
- * The engine is also reused by the Stramash policies for their
- * slow-path pages (upper page-table level missing, §9.2.3), which is
- * why it is a standalone class rather than part of the Popcorn
- * fault handler.
+ * The engine is the Popcorn design's fault handler. Popcorn's process
+ * migration also drives it directly, to pull pages home before the
+ * transfer. The Stramash policies do not use it: their slow-path
+ * faults (upper page-table level missing, §9.2.3) take one
+ * RemoteFaultRequest round to the origin instead.
  */
 
 #ifndef STRAMASH_DSM_DSM_ENGINE_HH
@@ -27,6 +28,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "stramash/kernel/kernel.hh"
@@ -37,7 +39,7 @@ namespace stramash
 /** Resolve a node id to its kernel instance. */
 using KernelLookup = std::function<KernelInstance &(NodeId)>;
 
-class DsmEngine
+class DsmEngine final : public FaultHandler
 {
   public:
     DsmEngine(MessageLayer &msg, KernelLookup kernels);
@@ -54,15 +56,19 @@ class DsmEngine
      * (coherence metadata untouched or safely partial) and the
      * architectural retry loop in KernelInstance::resolve re-faults.
      */
-    void handlePageFault(KernelInstance &kernel, Task &task, Addr va,
-                         XlateStatus kind, AccessType type);
+    void handleFault(KernelInstance &kernel, Task &task, Addr va,
+                     XlateStatus kind, AccessType type) override;
+
+    /** Drops the task's page metadata (forgetTask). */
+    void
+    onTaskExit(KernelInstance &kernel, Task &task) override
+    {
+        (void)kernel;
+        forgetTask(task.pid);
+    }
 
     /** True if this (pid, page) is under DSM management. */
     bool isManaged(Pid pid, Addr vpage) const;
-
-    /** Mark a page DSM-managed without faulting (Stramash slow path
-     *  entry). */
-    void adopt(Pid pid, Addr vpage, NodeId owner);
 
     /**
      * CPU cost of one traversal of the Linux fault path plus the DSM
@@ -146,6 +152,24 @@ class DsmEngine
     void indexFrame(Addr frame, Pid pid, Addr vpage);
 
     PageState &state(Pid pid, Addr vpage, NodeId defaultOwner);
+
+    /**
+     * One PageRequest round to @p owner for (pid, vpage) with
+     * @p flags; counts a round that gives up.
+     * @return the response, or nullopt when the owner was unreachable.
+     */
+    std::optional<Message> pageRound(KernelInstance &k, NodeId owner,
+                                     Pid pid, Addr vpage,
+                                     std::uint64_t flags);
+
+    /**
+     * Fetch the page from its owner @p st.owner: a page round (write
+     * ownership when @p write), install the copy, then take ownership
+     * (@p write) or join the holders. Returns early, leaving @p st as
+     * it was, when the owner cannot be reached.
+     */
+    void fetchPage(KernelInstance &k, Task &t, Addr vpage, PageState &st,
+                   bool write);
 
     /** Charge @p kernel a metadata access for (pid, vpage). */
     void touchMeta(KernelInstance &k, Pid pid, Addr vpage,

@@ -145,7 +145,8 @@ PopcornFutexPolicy::onFutexWake(KernelInstance &k, const Message &m)
             note.arg1 = m.arg1;
             note.arg2 = 1;
             // Fault-free: delivered when that node next dispatches
-            // (if it is the requester, rpc() routes it to its pump).
+            // (if it is the requester, tryRpc() routes it to its
+            // pump).
             // Resilient mode acknowledges and retries instead.
             if (msg_.sendReliable(note, false) != Errc::Ok) {
                 k.stats().counter("futex_wakes_lost") += 1;
@@ -253,9 +254,8 @@ PopcornMigrationPolicy::migrateProcess(Pid pid, NodeId dest)
             if (ts.as->pageTable().walk(va))
                 continue;
             if (engine_.isManaged(pid, va)) {
-                engine_.handlePageFault(ks, ts, va,
-                                        XlateStatus::NotMapped,
-                                        AccessType::Store);
+                engine_.handleFault(ks, ts, va, XlateStatus::NotMapped,
+                                    AccessType::Store);
             }
         }
     }

@@ -3,9 +3,9 @@
  * The Popcorn-Linux policy set: the state-of-the-art multiple-kernel
  * (shared-nothing) baseline the paper compares against.
  *
- *  - PopcornFaultHandler: every cross-kernel page interaction goes
- *    through the DSM engine (replication, invalidation, origin-side
- *    anonymous allocation).
+ *  - DsmEngine (dsm_engine.hh) is the fault handler: every
+ *    cross-kernel page interaction goes through it (replication,
+ *    invalidation, origin-side anonymous allocation).
  *  - PopcornFutexPolicy: all futexes are created and managed by the
  *    origin kernel; remote kernels engage locks by messaging
  *    (paper §6.5).
@@ -21,29 +21,6 @@
 
 namespace stramash
 {
-
-class PopcornFaultHandler final : public FaultHandler
-{
-  public:
-    explicit PopcornFaultHandler(DsmEngine &engine) : engine_(engine) {}
-
-    void
-    handleFault(KernelInstance &kernel, Task &task, Addr va,
-                XlateStatus kind, AccessType type) override
-    {
-        engine_.handlePageFault(kernel, task, va, kind, type);
-    }
-
-    void
-    onTaskExit(KernelInstance &kernel, Task &task) override
-    {
-        (void)kernel;
-        engine_.forgetTask(task.pid);
-    }
-
-  private:
-    DsmEngine &engine_;
-};
 
 /** Origin-managed futexes over messages. */
 class PopcornFutexPolicy final : public FutexPolicy

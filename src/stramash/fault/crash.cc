@@ -226,6 +226,14 @@ CrashManager::selfFence(NodeId node, NodeId peer)
                               node, 0, peer, fenceWord_.epoch);
 }
 
+bool
+CrashManager::reaches(NodeId from, NodeId obs) const
+{
+    return obs != from && !dead_[obs] && machine_.nodeAlive(obs) &&
+           machine_.linkState(from, obs) != LinkState::Severed &&
+           machine_.linkState(obs, from) != LinkState::Severed;
+}
+
 void
 CrashManager::tryDeclareDead(NodeId peer, NodeId suspector)
 {
@@ -269,19 +277,9 @@ CrashManager::tryDeclareDead(NodeId peer, NodeId suspector)
         }
         unsigned reachable = 1;
         bool lowestOnOurSide = suspector == lowestLive;
-        std::vector<NodeId> reachableObs;
         for (NodeId obs = 0; obs < nodeCount_; ++obs) {
-            if (obs == suspector || dead_[obs] ||
-                !machine_.nodeAlive(obs)) {
-                continue;
-            }
-            if (machine_.linkState(suspector, obs) !=
-                    LinkState::Severed &&
-                machine_.linkState(obs, suspector) !=
-                    LinkState::Severed) {
+            if (reaches(suspector, obs)) {
                 ++reachable;
-                if (obs != peer)
-                    reachableObs.push_back(obs);
                 if (obs == lowestLive)
                     lowestOnOurSide = true;
             }
@@ -294,40 +292,18 @@ CrashManager::tryDeclareDead(NodeId peer, NodeId suspector)
             selfFence(suspector, peer);
             return;
         }
-        // Majority (or tied authority) side: run the quorum poll, but
-        // only over observers this side can actually reach — votes
-        // cannot cross the partition. On N=2 there are no voters and
-        // the authority's word stands (the lease has expired).
-        unsigned voters = 1;
-        unsigned deadVotes = 1;
-        for (NodeId obs : reachableObs) {
-            ++voters;
-            recovery_.counter("quorum_probes") += 1;
-            if (!heartbeatExchange(obs, peer))
-                ++deadVotes;
-        }
-        if (deadVotes * 2 > voters) {
-            declareDead(peer, suspector);
-            return;
-        }
-        det_[suspector][peer].suspicion = 0;
-        recovery_.counter("suspicions_outvoted") += 1;
-        machine_.tracer().instant(TraceCategory::Chaos,
-                                  "crash.outvoted", suspector, 0, peer,
-                                  deadVotes);
-        return;
     }
-    // Quorum poll over the other surviving observers. The suspector
-    // already voted dead; each other survivor probes the suspect once
-    // on its own channel. On the two-node machine the loop finds no
-    // voters and the suspector's word is final (STONITH fallback).
+    // Quorum poll. The suspector already voted dead; each other
+    // surviving observer it can reach probes the suspect once on its
+    // own channel — votes cannot cross a partition, and with no link
+    // fault configured every link is up. On the two-node machine the
+    // loop finds no voters and the suspector's word is final
+    // (STONITH fallback, or the expired lease of the authority side).
     unsigned voters = 1;
     unsigned deadVotes = 1;
     for (NodeId obs = 0; obs < nodeCount_; ++obs) {
-        if (obs == peer || obs == suspector || dead_[obs] ||
-            !machine_.nodeAlive(obs)) {
+        if (obs == peer || !reaches(suspector, obs))
             continue;
-        }
         ++voters;
         recovery_.counter("quorum_probes") += 1;
         if (!heartbeatExchange(obs, peer))
@@ -525,12 +501,6 @@ CrashManager::adoptTaskFused(Pid pid, NodeId dead, NodeId survivor)
     Task *t = kh.findTask(pid);
     NodeId origin = t ? t->origin : tdead->origin;
 
-    // Every read of the dead kernel's structures below is an ordinary
-    // coherent load: the fused design's recovery superpower.
-    auto touch = [&](AccessType type, Addr a) {
-        kh.remoteAccess(dead, type, a, 8);
-    };
-
     if (!t) {
         // The surviving kernel never hosted this task; rebuild the
         // record straight out of the dead kernel's memory.
@@ -539,51 +509,19 @@ CrashManager::adoptTaskFused(Pid pid, NodeId dead, NodeId survivor)
     }
 
     if (tdead) {
-        // VMA copy, §6.4-style but lock-free: the tree's owner is
-        // dead, so nobody else can be writing it.
-        unsigned i = 0;
-        tdead->as->vmas().forEach([&](const Vma &v) {
-            kh.remoteAccess(dead, AccessType::Load,
-                            kd.dataAddrFor((Addr{pid} << 32) ^ i),
-                            64);
-            ++i;
-            if (!t->as->vmas().find(v.start))
-                (void)t->as->vmas().insert(v);
-        });
-
-        // Frame adoption through the Software Remote Page Table
-        // Walker: pages present only in the dead table are re-pointed
-        // into the survivor's table — same frames, no copies. Frames
-        // that live in the dead node's own memory are dealt with by
-        // sweepDeadFrames() afterwards.
-        const PteFormat &dfmt = tdead->as->pageTable().format();
-        // Tagged entries in the dead table decode in their recorded
-        // writer's format (N-node machines can have several foreign
-        // writers); unrecorded tags default to the adopter's format.
-        const PteFormat &hostFmt = t->as->pageTable().format();
-        TaggedFmtFn taggedFmtOf =
-            shared_ ? taggedFormatOf(*shared_, machine_, pid, hostFmt)
-                    : [&](Addr) -> const PteFormat & { return hostFmt; };
-        kh.remoteAccess(dead, AccessType::Store,
-                        tdead->as->ptlAddr(), 8);
-        t->as->vmas().forEach([&](const Vma &v) {
-            for (Addr va = v.start; va < v.end; va += pageSize) {
-                if (t->as->pageTable().walk(va))
-                    continue;
-                auto w = walkForeign(
-                    machine_.memory(), dfmt,
-                    tdead->as->pageTable().rootAddr(), va, touch,
-                    taggedFmtOf);
-                if (!w)
-                    continue;
-                (void)t->as->mapPage(
-                    va, w->pte.frame,
-                    vmaPageAttrs(v, v.prot.writable));
-                recovery_.counter("pages_adopted") += 1;
-            }
-        });
-        kh.remoteAccess(dead, AccessType::Store,
-                        tdead->as->ptlAddr(), 8);
+        // Every read of the dead kernel's structures is an ordinary
+        // coherent load: the fused design's recovery superpower. The
+        // VMA copy takes no lock — the tree's owner is dead, so nobody
+        // else can be writing it. Pages present only in the dead table
+        // are re-pointed into the survivor's table — same frames, no
+        // copies; frames that live in the dead node's own memory are
+        // dealt with by sweepDeadFrames() afterwards.
+        copyVmasRemote(kh, kd, *tdead, *t);
+        if (std::uint64_t adopted =
+                adoptFramesRemote(kh, kd, *shared_, *tdead, *t)) {
+            recovery_.counter("pages_adopted") +=
+                static_cast<std::int64_t>(adopted);
+        }
 
         // Frames the dead record borrowed from live kernels follow
         // the task; frames it owned die with the kernel (the frame

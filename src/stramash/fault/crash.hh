@@ -319,14 +319,19 @@ class CrashManager
 
     /**
      * A suspicion crossed the threshold: poll every other surviving
-     * node for a probe of @p peer and declare it dead only on a
-     * strict majority of dead votes (@p suspector included). On the
-     * two-node machine there are no other voters and the suspector's
-     * word stands — the historical STONITH path, bit-identical.
-     * Partition-armed machines route through the arbitration layer
-     * first (fused CAS / Popcorn reachable-majority lease).
+     * node @p suspector reaches for a probe of @p peer, in ascending
+     * order, and declare it dead only on a strict majority of dead
+     * votes (@p suspector included). On the two-node machine there
+     * are no other voters and the suspector's word stands — the
+     * historical STONITH path, bit-identical. Partition-armed
+     * machines route through the arbitration layer first (fused CAS /
+     * Popcorn reachable-majority lease).
      */
     void tryDeclareDead(NodeId peer, NodeId suspector);
+
+    /** True when @p obs is another live, undeclared node and neither
+     *  direction of its link with @p from is severed. */
+    bool reaches(NodeId from, NodeId obs) const;
 
     /** True when the fault plan schedules link events (or a chaos
      *  severLink ran): the split-brain arbitration layer is live. */

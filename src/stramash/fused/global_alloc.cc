@@ -14,22 +14,20 @@ constexpr std::uint64_t blockNoMemory = 2;
 } // namespace
 
 GlobalMemoryAllocator::GlobalMemoryAllocator(
-    Machine &machine, std::vector<KernelInstance *> kernels,
-    GmaConfig cfg, const std::vector<AddrRange> &excluded,
-    MessageLayer *msg)
+    Machine &machine, MessageLayer &msg,
+    std::vector<KernelInstance *> kernels, GmaConfig cfg,
+    const std::vector<AddrRange> &excluded)
     : machine_(machine),
       kernels_(std::move(kernels)),
       cfg_(cfg),
       stats_("gma"),
       msg_(msg)
 {
-    if (msg_) {
-        for (auto *k : kernels_) {
-            k->registerMsgHandler(MsgType::MemBlockRequest,
-                                  [this, k](const Message &m) {
-                                      onMemBlockRequest(*k, m);
-                                  });
-        }
+    for (auto *k : kernels_) {
+        k->registerMsgHandler(MsgType::MemBlockRequest,
+                              [this, k](const Message &m) {
+                                  onMemBlockRequest(*k, m);
+                              });
     }
     panic_if(cfg_.blockSize < 32 * 1024 * 1024 ||
                  cfg_.blockSize > Addr{4} * 1024 * 1024 * 1024,
@@ -87,16 +85,6 @@ GlobalMemoryAllocator::ownedBlocks(NodeId node) const
             out.push_back(kv.second.first);
     }
     return out;
-}
-
-KernelInstance &
-GlobalMemoryAllocator::kernelOf(NodeId node)
-{
-    for (auto *k : kernels_) {
-        if (k->nodeId() == node)
-            return *k;
-    }
-    panic("global allocator: unknown node ", node);
 }
 
 void
@@ -215,7 +203,7 @@ GlobalMemoryAllocator::onMemBlockRequest(KernelInstance &k,
         // backs off and asks again.
         stats_.counter("negotiations_denied") += 1;
         resp.arg2 = blockDenied;
-        msg_->send(resp);
+        msg_.send(resp);
         return;
     }
 
@@ -227,11 +215,11 @@ GlobalMemoryAllocator::onMemBlockRequest(KernelInstance &k,
         resp.arg0 = block.start;
         resp.arg1 = block.end;
         resp.arg2 = blockGranted;
-        msg_->send(resp);
+        msg_.send(resp);
         return;
     }
     resp.arg2 = blockNoMemory;
-    msg_->send(resp);
+    msg_.send(resp);
 }
 
 std::size_t
@@ -265,7 +253,7 @@ GlobalMemoryAllocator::requestBlockFrom(KernelInstance &kernel,
     req.type = MsgType::MemBlockRequest;
     req.from = kernel.nodeId();
     req.to = donor.nodeId();
-    auto resp = msg_->tryRpc(req, MsgType::MemBlockResponse);
+    auto resp = msg_.tryRpc(req, MsgType::MemBlockResponse);
     if (!resp)
         return Errc::Unreachable;
     switch (resp->arg2) {
@@ -310,25 +298,10 @@ GlobalMemoryAllocator::onLowMemory(KernelInstance &kernel)
     if (!donor)
         return false;
 
-    if (!msg_) {
-        // Direct hand-off (no messaging attached).
-        for (const auto &block : ownedBlocks(donor->nodeId())) {
-            if (donor->palloc().allocatedIn(block).empty()) {
-                Cycles c = offlineBlock(*donor, block);
-                if (c == 0)
-                    continue;
-                onlineBlock(kernel, block);
-                stats_.counter("blocks_migrated") += 1;
-                return true;
-            }
-        }
-        return false;
-    }
-
-    // Message-based negotiation: transient refusals and lost
+    // Negotiation over messages: transient refusals and lost
     // messages are retried with exponential backoff before the
     // kernel degrades to local memory only.
-    const RpcPolicy &pol = msg_->rpcPolicy();
+    const RpcPolicy &pol = msg_.rpcPolicy();
     unsigned attempts =
         machine_.faultInjector() ? pol.maxAttempts : 1;
     for (unsigned attempt = 1; attempt <= attempts; ++attempt) {

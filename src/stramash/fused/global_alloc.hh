@@ -45,19 +45,18 @@ class GlobalMemoryAllocator
 {
   public:
     /**
+     * @param msg the layer inter-kernel block hand-offs are negotiated
+     *        over (MemBlockRequest / MemBlockResponse messages, which
+     *        can time out, be denied by a fault plan, and be retried
+     *        with backoff); each kernel's pump must be registered on
+     *        it.
      * @param excluded ranges inside the pool that must not become
      *        blocks (e.g. the messaging area).
-     * @param msg when non-null, inter-kernel block hand-offs are
-     *        negotiated over MemBlockRequest / MemBlockResponse
-     *        messages (and can therefore time out, be denied by a
-     *        fault plan, and be retried with backoff). Null keeps
-     *        the direct-call hand-off for isolated unit tests.
      */
-    GlobalMemoryAllocator(Machine &machine,
+    GlobalMemoryAllocator(Machine &machine, MessageLayer &msg,
                           std::vector<KernelInstance *> kernels,
                           GmaConfig cfg = {},
-                          const std::vector<AddrRange> &excluded = {},
-                          MessageLayer *msg = nullptr);
+                          const std::vector<AddrRange> &excluded = {});
 
     /** Donate pool memory (defaults to the phys map's pool ranges). */
     void addPoolRange(const AddrRange &r);
@@ -122,12 +121,10 @@ class GlobalMemoryAllocator
     std::vector<KernelInstance *> kernels_;
     GmaConfig cfg_;
     StatGroup stats_;
-    MessageLayer *msg_;
+    MessageLayer &msg_;
 
     /** block start -> owner (invalidNode = free). */
     std::map<Addr, std::pair<AddrRange, NodeId>> blocks_;
-
-    KernelInstance &kernelOf(NodeId node);
 
     /** Donor-side MemBlockRequest service. */
     void onMemBlockRequest(KernelInstance &k, const Message &m);

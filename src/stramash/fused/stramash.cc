@@ -19,6 +19,53 @@ taggedFormatOf(const StramashShared &shared, Machine &machine, Pid pid,
     };
 }
 
+void
+copyVmasRemote(KernelInstance &reader, KernelInstance &owner, Task &src,
+               Task &dst)
+{
+    Pid pid = src.pid;
+    unsigned i = 0;
+    src.as->vmas().forEach([&](const Vma &v) {
+        reader.remoteAccess(owner.nodeId(), AccessType::Load,
+                            owner.dataAddrFor((Addr{pid} << 32) ^ i), 64);
+        ++i;
+        if (!dst.as->vmas().find(v.start))
+            (void)dst.as->vmas().insert(v);
+    });
+}
+
+std::uint64_t
+adoptFramesRemote(KernelInstance &reader, KernelInstance &owner,
+                  const StramashShared &shared, Task &src, Task &dst)
+{
+    const PageTable &spt = src.as->pageTable();
+    auto touch = [&](AccessType type, Addr a) {
+        reader.remoteAccess(owner.nodeId(), type, a, 8);
+    };
+    TaggedFmtFn taggedFmtOf =
+        taggedFormatOf(shared, reader.machine(), src.pid,
+                       dst.as->pageTable().format());
+    std::uint64_t mapped = 0;
+    reader.remoteAccess(owner.nodeId(), AccessType::Store,
+                        src.as->ptlAddr(), 8);
+    dst.as->vmas().forEach([&](const Vma &v) {
+        for (Addr va = v.start; va < v.end; va += pageSize) {
+            if (dst.as->pageTable().walk(va))
+                continue;
+            auto w = walkForeign(reader.machine().memory(), spt.format(),
+                                 spt.rootAddr(), va, touch, taggedFmtOf);
+            if (!w)
+                continue;
+            (void)dst.as->mapPage(va, w->pte.frame,
+                                  vmaPageAttrs(v, v.prot.writable));
+            ++mapped;
+        }
+    });
+    reader.remoteAccess(owner.nodeId(), AccessType::Store,
+                        src.as->ptlAddr(), 8);
+    return mapped;
+}
+
 // ===================== StramashFaultHandler ==========================
 
 StramashFaultHandler::StramashFaultHandler(MessageLayer &msg,
@@ -351,7 +398,6 @@ StramashMigrationPolicy::migrateProcess(Pid pid, NodeId dest)
              "process migration must start from the origin (migrate "
              "the thread home first)");
     Machine &machine = ks.machine();
-    GuestMemory &mem = machine.memory();
 
     machine.stall(src, transformCycles);
 
@@ -364,45 +410,13 @@ StramashMigrationPolicy::migrateProcess(Pid pid, NodeId dest)
     machine.stall(dest, transformCycles);
 
     // The destination reads the source's VMA tree directly (charged
-    // remote walks under the VMA lock).
+    // remote walks under the VMA lock), then adopts every resident
+    // page: the new table points at the *same* frames, no content
+    // moves.
     kd.remoteAccess(src, AccessType::Store, ts.as->vmaLockAddr(), 8);
-    std::vector<Vma> vmas;
-    ts.as->vmas().forEach([&](const Vma &v) { vmas.push_back(v); });
-    for (std::size_t i = 0; i < vmas.size(); ++i) {
-        kd.remoteAccess(src, AccessType::Load,
-                        ks.dataAddrFor((Addr{pid} << 32) ^ i), 64);
-        bool ok = td.as->vmas().insert(vmas[i]);
-        panic_if(!ok, "process migration: VMA conflict");
-    }
+    copyVmasRemote(kd, ks, ts, td);
     kd.remoteAccess(src, AccessType::Store, ts.as->vmaLockAddr(), 8);
-
-    // Adopt every resident page by walking the source's table in its
-    // format (software remote page table walker) and pointing the
-    // new table at the *same* frame — no content moves.
-    const PteFormat &sfmt = ts.as->pageTable().format();
-    auto touch = [&](AccessType at, Addr a) {
-        kd.remoteAccess(src, at, a, 8);
-    };
-    // Tagged entries in the source's table decode in their recorded
-    // writer's format; an unrecorded tag defaults to the
-    // destination's format (the only possible writer on the pair).
-    TaggedFmtFn taggedFmtOf = taggedFormatOf(
-        shared_, machine, pid, td.as->pageTable().format());
-    kd.remoteAccess(src, AccessType::Store, ts.as->ptlAddr(), 8);
-    for (const Vma &v : vmas) {
-        for (Addr va = v.start; va < v.end; va += pageSize) {
-            auto w = walkForeign(mem, sfmt,
-                                 ts.as->pageTable().rootAddr(), va,
-                                 touch, taggedFmtOf);
-            if (!w)
-                continue;
-            bool ok = td.as->mapPage(
-                va, w->pte.frame,
-                vmaPageAttrs(v, v.prot.writable));
-            panic_if(!ok, "process migration: duplicate page");
-        }
-    }
-    kd.remoteAccess(src, AccessType::Store, ts.as->ptlAddr(), 8);
+    (void)adoptFramesRemote(kd, ks, shared_, ts, td);
 
     // Frame ownership: the frames stay in whichever kernel's memory
     // they were allocated from; the new task borrows them and

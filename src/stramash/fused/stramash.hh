@@ -81,6 +81,29 @@ TaggedFmtFn taggedFormatOf(const StramashShared &shared,
                            Machine &machine, Pid pid,
                            const PteFormat &fallback);
 
+/**
+ * The remote VMA walker's copy of a whole tree (§6.4): @p reader makes
+ * one charged 64-byte load per VMA record of @p src, in @p owner's data
+ * region, and inserts into @p dst each VMA it lacks. Locking is the
+ * caller's business.
+ */
+void copyVmasRemote(KernelInstance &reader, KernelInstance &owner,
+                    Task &src, Task &dst);
+
+/**
+ * Frame adoption through the Software Remote Page Table Walker: under
+ * @p src's PTL (a charged store by @p reader before and after), walk
+ * @p src's table in @p owner's memory for every page of @p dst's VMAs
+ * that @p dst does not map yet, and map each present one to the same
+ * frame. Tagged entries decode in their recorded writer's format, an
+ * unrecorded tag in @p dst's.
+ * @return the number of pages mapped.
+ */
+std::uint64_t adoptFramesRemote(KernelInstance &reader,
+                                KernelInstance &owner,
+                                const StramashShared &shared, Task &src,
+                                Task &dst);
+
 class StramashFaultHandler final : public FaultHandler
 {
   public:

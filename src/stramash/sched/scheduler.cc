@@ -35,17 +35,6 @@ itemAddr(KernelInstance &k, NodeId node, std::uint64_t slot)
 
 } // namespace
 
-const char *
-placementPolicyName(PlacementPolicy p)
-{
-    switch (p) {
-      case PlacementPolicy::IsaAffinity: return "isa_affinity";
-      case PlacementPolicy::LeastLoaded: return "least_loaded";
-      case PlacementPolicy::CostModel: return "cost_model";
-    }
-    panic("unknown PlacementPolicy");
-}
-
 Scheduler::Scheduler(System &sys, SchedConfig cfg)
     : sys_(sys),
       cfg_(cfg),
@@ -188,17 +177,9 @@ Scheduler::offloadTarget(NodeId from, const PlacementHints &hints)
         return sys_.firstAliveFrom(*hints.pin);
     }
     if (cfg_.policy == PlacementPolicy::IsaAffinity) {
-        // Bit-identical to App::migrateToNext(): the cyclic next
-        // alive node, falling back to the (refused) cyclic successor
-        // when every peer is dead.
+        // The hop App::migrateToNext() takes.
         ++stats_.counter("offload_affinity");
-        std::size_t n = queues_.size();
-        for (std::size_t step = 1; step < n; ++step) {
-            NodeId cand = static_cast<NodeId>((from + step) % n);
-            if (sys_.isNodeAlive(cand))
-                return cand;
-        }
-        return static_cast<NodeId>((from + 1) % n);
+        return sys_.nextAlivePeer(from);
     }
 
     NodeId cand = leastLoaded();
@@ -226,15 +207,6 @@ Scheduler::offloadTarget(NodeId from, const PlacementHints &hints)
     sys_.tracer().instant(TraceCategory::Sched, "sched.offload",
                           from, 0, cand, hints.footprintBytes);
     return cand;
-}
-
-NodeId
-Scheduler::submit(WorkItem item)
-{
-    PlacementHints hints;
-    hints.weightCycles = item.weight;
-    hints.footprintBytes = item.footprintBytes;
-    return submitTo(place(hints), std::move(item));
 }
 
 NodeId
@@ -348,8 +320,7 @@ Scheduler::chargeStealPath(NodeId thief, NodeId victim,
     }
     // Shared-nothing steal: a full RPC round-trip. The victim's
     // handler echoes the grant and ships the item descriptors in
-    // the reply; the resilient tryRpc is the historical rpc()
-    // bit-for-bit when no fault injector is attached.
+    // the reply.
     Message req;
     req.type = MsgType::StealRequest;
     req.from = thief;

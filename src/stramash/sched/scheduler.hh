@@ -57,8 +57,6 @@ enum class PlacementPolicy {
     CostModel,
 };
 
-const char *placementPolicyName(PlacementPolicy p);
-
 struct SchedConfig
 {
     PlacementPolicy policy = PlacementPolicy::LeastLoaded;
@@ -121,9 +119,6 @@ class Scheduler final : public Placer
                          const PlacementHints &hints) override;
 
     // ---- run queues ----
-
-    /** Enqueue @p item on the policy-chosen node. @return the node. */
-    NodeId submit(WorkItem item);
 
     /** Enqueue @p item on @p node (slides to the next alive node if
      *  @p node is dead). @return the node actually used. */

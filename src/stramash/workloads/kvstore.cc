@@ -29,6 +29,58 @@ allKvOps()
     return ops;
 }
 
+void
+serveForwardedSockets(KernelInstance &k, MessageLayer &msg)
+{
+    k.registerMsgHandler(
+        MsgType::AppRequest, [&k, &msg](const Message &m) {
+            k.machine().stall(k.nodeId(), KvStore::stackCycles);
+            Message resp;
+            resp.type = MsgType::AppResponse;
+            resp.from = k.nodeId();
+            resp.to = m.from;
+            resp.arg0 = m.arg0;
+            msg.send(resp);
+        });
+}
+
+bool
+forwardSocketOp(System &sys, NodeId from, NodeId sock, Pid pid)
+{
+    Machine &machine = sys.machine();
+    if (from == sock) {
+        // Local service: just the stack work.
+        machine.stall(from, KvStore::stackCycles);
+        return true;
+    }
+    if (sys.config().osDesign == OsDesign::MultipleKernel) {
+        // Shared-nothing forwarding: two messages per request. The
+        // resilient tryRpc is the plain synchronous RPC when no fault
+        // injector is attached.
+        Message req;
+        req.type = MsgType::AppRequest;
+        req.from = from;
+        req.to = sock;
+        req.arg0 = pid;
+        return sys.msg().tryRpc(req, MsgType::AppResponse).has_value();
+    }
+    // Fused forwarding: drive the socket's node-side state directly —
+    // descriptor read, doorbell write (fused MMIO, §7.4) — then one
+    // IPI; the socket's node runs half a stack pass. A severed
+    // *message* link does not impair this path: the doorbell rides
+    // coherent memory, and a swallowed IPI only costs the socket's
+    // node its wakeup (it polls the descriptor anyway).
+    KernelInstance &sk = sys.kernel(sock);
+    machine.dataAccess(from, AccessType::Load, sk.dataAddrFor(0x50cce7),
+                       64);
+    machine.dataAccess(from, AccessType::Store,
+                       sk.dataAddrFor(0xd00b311), 64);
+    machine.stall(from, 2 * KvStore::remoteMmioCycles);
+    machine.sendIpi(from, sock);
+    machine.stall(sock, KvStore::stackCycles / 2);
+    return true;
+}
+
 KvStore::KvStore(App &server, std::size_t numKeys,
                  std::size_t payloadBytes)
     : app_(server),
@@ -39,18 +91,7 @@ KvStore::KvStore(App &server, std::size_t numKeys,
     // The origin kernel answers forwarded socket operations for the
     // multiple-kernel design.
     System &sys = app_.system();
-    KernelInstance &origin = sys.kernel(originNode_);
-    MessageLayer *msg = &sys.msg();
-    origin.registerMsgHandler(
-        MsgType::AppRequest, [&origin, msg](const Message &m) {
-            origin.machine().stall(origin.nodeId(), stackCycles);
-            Message resp;
-            resp.type = MsgType::AppResponse;
-            resp.from = origin.nodeId();
-            resp.to = m.from;
-            resp.arg0 = m.arg0;
-            msg->send(resp);
-        });
+    serveForwardedSockets(sys.kernel(originNode_), sys.msg());
 
     slotBytes_ = ((payload_ + 8 + cacheLineSize - 1) / cacheLineSize) *
                  cacheLineSize;
@@ -99,7 +140,6 @@ KvStore::socketRoundTrip()
 {
     System &sys = app_.system();
     NodeId cur = app_.where();
-    Machine &machine = sys.machine();
     if (!sys.isNodeAlive(originNode_)) {
         // The server-socket node crashed: crash recovery re-homed the
         // task (fused) or re-pointed its origin (survivor-side
@@ -111,33 +151,8 @@ KvStore::socketRoundTrip()
         if (CrashManager *cm = sys.crashManager())
             cm->recovery().counter("kv_socket_failovers") += 1;
     }
-    if (cur == originNode_) {
-        // Local service: just the stack work.
-        machine.stall(cur, stackCycles);
-        return;
-    }
-    if (sys.config().osDesign == OsDesign::MultipleKernel) {
-        // Forward the socket operation to the origin kernel and wait
-        // for the data — two messages per request.
-        Message req;
-        req.type = MsgType::AppRequest;
-        req.from = cur;
-        req.to = originNode_;
-        req.arg0 = app_.pid();
-        sys.msg().rpc(req, MsgType::AppResponse);
-        return;
-    }
-    // Fused design: drive the origin-side socket/NIC state directly
-    // — remote descriptor read, payload ring access, doorbell write
-    // (fused MMIO, §7.4) — then one IPI to kick the stack.
-    KernelInstance &origin = sys.kernel(originNode_);
-    machine.dataAccess(cur, AccessType::Load,
-                       origin.dataAddrFor(0x50cce7), 64);
-    machine.dataAccess(cur, AccessType::Store,
-                       origin.dataAddrFor(0xd00b311), 64);
-    machine.stall(cur, 2 * remoteMmioCycles);
-    machine.sendIpi(cur, originNode_);
-    machine.stall(originNode_, stackCycles / 2);
+    if (!forwardSocketOp(sys, cur, originNode_, app_.pid()))
+        panic("kv-store: socket node ", originNode_, " never answered");
 }
 
 void

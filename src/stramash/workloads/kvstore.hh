@@ -38,6 +38,23 @@ enum class KvOp : std::uint8_t
 const char *kvOpName(KvOp op);
 const std::vector<KvOp> &allKvOps();
 
+/**
+ * Let @p k answer socket operations forwarded to it over the
+ * messaging layer (the multiple-kernel design): one stack pass, then
+ * an AppResponse.
+ */
+void serveForwardedSockets(KernelInstance &k, MessageLayer &msg);
+
+/**
+ * Drive one socket operation of @p pid from node @p from on the
+ * socket that lives on node @p sock. Local: the stack work. Fused:
+ * drive the socket's descriptor and doorbell directly through
+ * coherent memory (fused MMIO, §7.4), one IPI, half a stack pass at
+ * @p sock. Popcorn: an AppRequest RPC that @p sock answers.
+ * @return false when the RPC gave up (retries exhausted).
+ */
+bool forwardSocketOp(System &sys, NodeId from, NodeId sock, Pid pid);
+
 class KvStore
 {
   public:
@@ -89,11 +106,9 @@ class KvStore
 
     /**
      * The socket lives at the origin (a migrated thread cannot take
-     * its socket along — the Popcorn limitation that shaped §9.2.8).
-     * When serving remotely, each request's socket I/O reaches the
-     * origin: Popcorn forwards it over the messaging layer; Stramash
-     * drives the origin-side device state directly through shared
-     * memory / fused MMIO (§7.4) plus one IPI.
+     * its socket along — the Popcorn limitation that shaped §9.2.8),
+     * so each request's socket I/O reaches the origin through
+     * forwardSocketOp().
      */
     void socketRoundTrip();
 };

@@ -17,20 +17,8 @@ ShardedKvStore::ShardedKvStore(System &sys, ShardedKvConfig cfg)
 
     // Each kernel answers forwarded socket operations for the
     // multiple-kernel design, exactly like the Figure-14 origin.
-    MessageLayer *msg = &sys_.msg();
-    for (NodeId n = 0; n < sys_.nodeCount(); ++n) {
-        KernelInstance *k = &sys_.kernel(n);
-        k->registerMsgHandler(
-            MsgType::AppRequest, [k, msg](const Message &m) {
-                k->machine().stall(k->nodeId(), KvStore::stackCycles);
-                Message resp;
-                resp.type = MsgType::AppResponse;
-                resp.from = k->nodeId();
-                resp.to = m.from;
-                resp.arg0 = m.arg0;
-                msg->send(resp);
-            });
-    }
+    for (NodeId n = 0; n < sys_.nodeCount(); ++n)
+        serveForwardedSockets(sys_.kernel(n), sys_.msg());
 
     // One server task per shard (shards = nodes). The placer decides
     // where each lives; without one, shard s stays on node s like the
@@ -80,16 +68,11 @@ ShardedKvStore::populate()
 Errc
 ShardedKvStore::ingressPath(NodeId ingress, NodeId shard)
 {
-    Machine &machine = sys_.machine();
     NodeId owner = serverNode_[shard];
-    if (ingress == owner) {
-        // Local service: just the ingress-side stack work.
-        machine.stall(ingress, KvStore::stackCycles);
-        return Errc::Ok;
-    }
-    ++crossShard_;
-    if (sys_.config().osDesign == OsDesign::MultipleKernel) {
+    if (ingress != owner) {
+        ++crossShard_;
         if (breakerOpen_[shard]) {
+            Machine &machine = sys_.machine();
             if (machine.linkState(ingress, owner) != LinkState::Up ||
                 machine.linkState(owner, ingress) != LinkState::Up) {
                 // Breaker open and the link still impaired: fast-fail
@@ -99,39 +82,14 @@ ShardedKvStore::ingressPath(NodeId ingress, NodeId shard)
             }
             breakerOpen_[shard] = 0;
         }
-        // Shared-nothing forwarding: two messages per request. The
-        // resilient tryRpc is the historical rpc() bit-for-bit when
-        // no fault injector is attached.
-        Message req;
-        req.type = MsgType::AppRequest;
-        req.from = ingress;
-        req.to = owner;
-        req.arg0 = servers_[shard]->pid();
-        if (!sys_.msg().tryRpc(req, MsgType::AppResponse)) {
-            // Every retry timed out: open the breaker so the next
-            // requests to this owner shed cheaply until the link
-            // heals.
-            breakerOpen_[shard] = 1;
-            ++unreachable_;
-            return Errc::Unreachable;
-        }
-        return Errc::Ok;
     }
-    // Fused forwarding: the ingress kernel drives the owner's socket
-    // state directly — descriptor read, doorbell write (fused MMIO,
-    // §7.4) — then one IPI; the owner runs half a stack pass. A
-    // severed *message* link does not impair this path: the doorbell
-    // rides coherent memory, and the swallowed IPI only costs the
-    // owner its wakeup (it polls the descriptor anyway) — the fused
-    // design serves straight through a network partition.
-    KernelInstance &ownerK = sys_.kernel(owner);
-    machine.dataAccess(ingress, AccessType::Load,
-                       ownerK.dataAddrFor(0x50cce7), 64);
-    machine.dataAccess(ingress, AccessType::Store,
-                       ownerK.dataAddrFor(0xd00b311), 64);
-    machine.stall(ingress, 2 * KvStore::remoteMmioCycles);
-    machine.sendIpi(ingress, owner);
-    machine.stall(owner, KvStore::stackCycles / 2);
+    if (!forwardSocketOp(sys_, ingress, owner, servers_[shard]->pid())) {
+        // Every retry timed out: open the breaker so the next
+        // requests to this owner shed cheaply until the link heals.
+        breakerOpen_[shard] = 1;
+        ++unreachable_;
+        return Errc::Unreachable;
+    }
     return Errc::Ok;
 }
 

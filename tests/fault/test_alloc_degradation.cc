@@ -36,9 +36,8 @@ class AllocDegradationTest : public testing::Test
         GmaConfig cfg;
         cfg.blockSize = 256_MiB;
         gma_ = std::make_unique<GlobalMemoryAllocator>(
-            *machine_, std::vector<KernelInstance *>{k0_.get(),
-                                                     k1_.get()},
-            cfg, std::vector<AddrRange>{}, layer_.get());
+            *machine_, *layer_,
+            std::vector<KernelInstance *>{k0_.get(), k1_.get()}, cfg);
     }
 
     /** All pool blocks to k1, k0's pressure raised above k1's: the
@@ -128,9 +127,8 @@ TEST_F(AllocDegradationTest, DonorWithOnlyLiveBlocksReportsNoMemory)
     GmaConfig big;
     big.blockSize = 1_GiB; // 4 pool blocks: cheap to keep all live
     gma_ = std::make_unique<GlobalMemoryAllocator>(
-        *machine_,
-        std::vector<KernelInstance *>{k0_.get(), k1_.get()}, big,
-        std::vector<AddrRange>{}, layer_.get());
+        *machine_, *layer_,
+        std::vector<KernelInstance *>{k0_.get(), k1_.get()}, big);
 
     while (gma_->freeBlocks() > 0)
         ASSERT_TRUE(gma_->onLowMemory(*k1_));

@@ -17,10 +17,15 @@ class GmaTest : public testing::Test
           k0_(machine_, 0, layer_),
           k1_(machine_, 1, layer_)
     {
+        layer_.registerHandler(0,
+                               [this](const Message &m) { k0_.pump(m); });
+        layer_.registerHandler(1,
+                               [this](const Message &m) { k1_.pump(m); });
         GmaConfig cfg;
         cfg.blockSize = 256_MiB;
         gma_ = std::make_unique<GlobalMemoryAllocator>(
-            machine_, std::vector<KernelInstance *>{&k0_, &k1_}, cfg);
+            machine_, layer_, std::vector<KernelInstance *>{&k0_, &k1_},
+            cfg);
     }
 
     Machine machine_;
@@ -82,7 +87,7 @@ TEST_F(GmaTest, CostScalesWithBlockSize)
     GmaConfig big;
     big.blockSize = 1_GiB;
     GlobalMemoryAllocator gma2(
-        machine_, std::vector<KernelInstance *>{&k0_, &k1_}, big);
+        machine_, layer_, std::vector<KernelInstance *>{&k0_, &k1_}, big);
     AddrRange bigBlock{4_GiB, 5_GiB};
     Cycles c2 = gma2.onlineBlock(k0_, bigBlock);
     Cycles c2off = gma2.offlineBlock(k0_, bigBlock);
@@ -199,9 +204,7 @@ TEST_F(GmaTest, OfflineOnlineChurnKeepsPoolConsistent)
 TEST_F(GmaTest, ConcurrentPressureFromBothKernelsDrainsThePool)
 {
     // Both kernels growing turn by turn must split the pool without
-    // ever handing the same block to two owners, and the direct
-    // (message-less) path must degrade to false when nothing is left
-    // to donate and both are equally pressured.
+    // ever handing the same block to two owners.
     while (gma_->freeBlocks() > 0) {
         ASSERT_TRUE(gma_->onLowMemory(k0_));
         if (gma_->freeBlocks() == 0)
@@ -224,7 +227,7 @@ TEST_F(GmaTest, DeathOnBadBlockSize)
     GmaConfig bad;
     bad.blockSize = 1_MiB;
     EXPECT_DEATH(GlobalMemoryAllocator(
-                     machine_,
+                     machine_, layer_,
                      std::vector<KernelInstance *>{&k0_, &k1_}, bad),
                  "block size");
 }
