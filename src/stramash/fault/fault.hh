@@ -62,18 +62,6 @@ enum class LinkState : std::uint8_t {
     Delayed,
 };
 
-inline const char *
-linkStateName(LinkState s)
-{
-    switch (s) {
-      case LinkState::Up: return "up";
-      case LinkState::Severed: return "severed";
-      case LinkState::Lossy: return "lossy";
-      case LinkState::Delayed: return "delayed";
-    }
-    panic("unknown LinkState");
-}
-
 /** One scheduled link transition, fired like crashAtCycle. */
 struct LinkEvent
 {

@@ -8,16 +8,6 @@
 namespace stramash
 {
 
-const TopologyNode *
-TopologySpec::nodeById(NodeId id) const
-{
-    for (const auto &n : nodes) {
-        if (n.id == id)
-            return &n;
-    }
-    return nullptr;
-}
-
 void
 TopologySpec::validate() const
 {

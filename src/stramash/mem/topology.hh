@@ -63,9 +63,6 @@ struct TopologySpec
 
     std::size_t nodeCount() const { return nodes.size(); }
 
-    /** The node with @p id, or nullptr. */
-    const TopologyNode *nodeById(NodeId id) const;
-
     /**
      * Structural validation: at least one node, ids are exactly
      * {0..n-1} (dense, unique), every node has DRAM, pool sizing

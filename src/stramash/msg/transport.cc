@@ -215,12 +215,6 @@ MessageLayer::receive(NodeId node)
     }
 }
 
-std::optional<Message>
-MessageLayer::tryReceive(NodeId node)
-{
-    return receive(node);
-}
-
 void
 MessageLayer::releaseDueParked(NodeId node)
 {
@@ -323,16 +317,6 @@ MessageLayer::purgeQueues(NodeId node)
     return purged;
 }
 
-Message
-MessageLayer::rpc(const Message &req, MsgType respType)
-{
-    auto resp = tryRpc(req, respType);
-    panic_if(!resp, "rpc: destination produced no ",
-             msgTypeName(respType), " response to ",
-             msgTypeName(req.type));
-    return *resp;
-}
-
 std::optional<Message>
 MessageLayer::tryRpc(const Message &req, MsgType respType)
 {
@@ -340,8 +324,8 @@ MessageLayer::tryRpc(const Message &req, MsgType respType)
     Message r = req;
 
     if (!fi) {
-        // Fault-free fast path: identical wire traffic and costs to
-        // the historical synchronous rpc().
+        // Fault-free fast path: one send, one dispatch, then drain
+        // our own queue for the response.
         Errc e = send(r);
         if (e != Errc::Ok)
             return std::nullopt;

@@ -17,7 +17,7 @@
  *
  * The layer also provides the synchronous dispatch pump the kernels
  * use: handlers registered per node are driven by dispatchPending(),
- * and rpc() implements the request/response pattern every Popcorn
+ * and tryRpc() implements the request/response pattern every Popcorn
  * protocol is built on.
  */
 
@@ -109,8 +109,13 @@ class MessageLayer
      */
     Errc send(const Message &msg);
 
-    /** Pop one pending message for @p node, charging receive costs. */
-    std::optional<Message> tryReceive(NodeId node);
+    /**
+     * Pop one pending message for @p node, charging receive costs.
+     * With a fault injector attached, a message that fails its CRC
+     * or repeats a seen sequence number is dropped here and the next
+     * one is taken.
+     */
+    std::optional<Message> receive(NodeId node);
 
     /**
      * Deliver every pending message for @p node to its handler.
@@ -132,15 +137,9 @@ class MessageLayer
      * Synchronous RPC: send @p req, drive the destination's pump,
      * and return the first @p respType message that arrives back.
      * Other messages arriving at the caller meanwhile are routed to
-     * the caller's own handler. Panics if the destination never
-     * responds — use tryRpc() at recoverable boundaries.
-     */
-    Message rpc(const Message &req, MsgType respType);
-
-    /**
-     * Resilient RPC. In fault-free operation this is exactly rpc():
-     * one send, one dispatch, same wire traffic, same costs. With a
-     * fault injector attached it becomes an at-most-once call:
+     * the caller's own handler. In fault-free operation that is one
+     * send and one dispatch. With a fault injector attached it
+     * becomes an at-most-once call:
      * retries (fresh seq, same rpcId) with exponential backoff and
      * simulated-cycle timeouts per RpcPolicy, duplicate-request
      * suppression via the server-side reply cache, and duplicate /
@@ -246,10 +245,6 @@ class MessageLayer
 
     /** True when the resilient machinery is active. */
     bool resilient() const;
-
-    /** transportReceive plus receive-side tracing, CRC verification
-     *  and duplicate suppression. */
-    std::optional<Message> receive(NodeId node);
 
     /** Route one received message: reply-cache replay for retried
      *  requests, handler invocation, response capture, auto-ack. */

@@ -263,7 +263,7 @@ TEST(ResilientMsg, FaultFreeWireTrafficIsUnchanged)
     m.from = 0;
     m.to = 1;
     EXPECT_EQ(layer.send(m), Errc::Ok);
-    auto out = layer.tryReceive(1);
+    auto out = layer.receive(1);
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(out->crc, 0u);
     EXPECT_EQ(out->rpcId, 0u);

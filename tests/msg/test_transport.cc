@@ -46,12 +46,12 @@ TEST_P(TransportBoth, SendReceiveRoundTrip)
     m.arg0 = 42;
     m.payload = {1, 2, 3, 4};
     layer_->send(m);
-    auto out = layer_->tryReceive(1);
+    auto out = layer_->receive(1);
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(out->arg0, 42u);
     EXPECT_EQ(out->payload, (std::vector<std::uint8_t>{1, 2, 3, 4}));
     EXPECT_GT(out->seq, 0u);
-    EXPECT_FALSE(layer_->tryReceive(1).has_value());
+    EXPECT_FALSE(layer_->receive(1).has_value());
 }
 
 TEST_P(TransportBoth, CountersTrackTraffic)
@@ -89,9 +89,10 @@ TEST_P(TransportBoth, RpcRequestResponse)
     layer_->registerHandler(0, [&](const Message &) {});
     Message req = mkMsg(MsgType::PageRequest, 0, 1);
     req.arg0 = 21;
-    Message resp = layer_->rpc(req, MsgType::PageResponse);
-    EXPECT_EQ(resp.type, MsgType::PageResponse);
-    EXPECT_EQ(resp.arg0, 42u);
+    auto resp = layer_->tryRpc(req, MsgType::PageResponse);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->type, MsgType::PageResponse);
+    EXPECT_EQ(resp->arg0, 42u);
 }
 
 TEST_P(TransportBoth, NestedRpcWorks)
@@ -108,15 +109,17 @@ TEST_P(TransportBoth, NestedRpcWorks)
     layer_->registerHandler(1, [&](const Message &m) {
         if (m.type == MsgType::PageRequest) {
             Message inner = mkMsg(MsgType::VmaRequest, 1, 0);
-            Message vma = layer_->rpc(inner, MsgType::VmaResponse);
+            auto vma = layer_->tryRpc(inner, MsgType::VmaResponse);
+            ASSERT_TRUE(vma.has_value());
             Message resp = mkMsg(MsgType::PageResponse, 1, 0);
-            resp.arg0 = vma.arg0 + 1;
+            resp.arg0 = vma->arg0 + 1;
             layer_->send(resp);
         }
     });
-    Message resp = layer_->rpc(mkMsg(MsgType::PageRequest, 0, 1),
+    auto resp = layer_->tryRpc(mkMsg(MsgType::PageRequest, 0, 1),
                                MsgType::PageResponse);
-    EXPECT_EQ(resp.arg0, 8u);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->arg0, 8u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, TransportBoth,
@@ -133,7 +136,7 @@ TEST(TcpTransport, ChargesPropagationToReceiver)
     TcpMessageLayer layer(m);
     layer.send(mkMsg(MsgType::TaskMigrate, 0, 1));
     Cycles before = m.node(1).cycles();
-    layer.tryReceive(1);
+    layer.receive(1);
     Cycles cost = m.node(1).cycles() - before;
     // 37.5 us at 2.0 GHz = 75000 cycles, plus handler and stack.
     EXPECT_GT(cost, 75000u);
@@ -157,7 +160,7 @@ TEST(ShmTransport, PollingModeSkipsIpi)
     ShmMessageLayer layer(m, 4_GiB, 16_MiB, false);
     layer.send(mkMsg(MsgType::TaskMigrate, 0, 1));
     EXPECT_EQ(m.ipisReceived(1), 0u);
-    EXPECT_TRUE(layer.tryReceive(1).has_value());
+    EXPECT_TRUE(layer.receive(1).has_value());
 }
 
 TEST(ShmTransport, PaperPlacementRules)
@@ -183,9 +186,9 @@ TEST(ShmTransport, TcpSlowerThanShmForSameTraffic)
         Message msg = mkMsg(MsgType::PageResponse, 0, 1);
         msg.payload.resize(pageSize);
         shm.send(msg);
-        shm.tryReceive(1);
+        shm.receive(1);
         tcp.send(msg);
-        tcp.tryReceive(1);
+        tcp.receive(1);
     }
     EXPECT_LT(m1.totalRuntime(), m2.totalRuntime());
 }
@@ -209,9 +212,9 @@ TEST(ShmTransport, ReceivePollsSendersInAscendingOrder)
     layer.send(early);
 
     Cycles before = m.node(0).cycles();
-    auto first = layer.tryReceive(0);
-    auto second = layer.tryReceive(0);
-    EXPECT_FALSE(layer.tryReceive(0).has_value());
+    auto first = layer.receive(0);
+    auto second = layer.receive(0);
+    EXPECT_FALSE(layer.receive(0).has_value());
     Cycles cost = m.node(0).cycles() - before;
 
     ASSERT_TRUE(first.has_value());
