@@ -144,9 +144,8 @@ PopcornFutexPolicy::onFutexWake(KernelInstance &k, const Message &m)
             note.arg0 = w.pid;
             note.arg1 = m.arg1;
             note.arg2 = 1;
-            // Fault-free: delivered when that node next dispatches
-            // (if it is the requester, tryRpc() routes it to its
-            // pump).
+            // Fault-free: delivered when that node next dispatches (if
+            // it is the requester, tryRpc() routes it to its pump).
             // Resilient mode acknowledges and retries instead.
             if (msg_.sendReliable(note, false) != Errc::Ok) {
                 k.stats().counter("futex_wakes_lost") += 1;
