@@ -54,9 +54,7 @@ forwardSocketOp(System &sys, NodeId from, NodeId sock, Pid pid)
         return true;
     }
     if (sys.config().osDesign == OsDesign::MultipleKernel) {
-        // Shared-nothing forwarding: two messages per request. The
-        // resilient tryRpc is the plain synchronous RPC when no fault
-        // injector is attached.
+        // Shared-nothing forwarding: two messages per request.
         Message req;
         req.type = MsgType::AppRequest;
         req.from = from;
