@@ -1,5 +1,7 @@
 #include "stramash/core/app.hh"
 
+#include "stramash/isa/isa.hh"
+
 namespace stramash
 {
 

@@ -408,18 +408,18 @@ DsmEngine::onPageRequest(KernelInstance &k, const Message &m)
     }
 
     resp.payload = readPageContent(k, t, vpage);
-    {
-        XlateResult owned = t.as->translate(vpage, AccessType::Load);
-        if (owned.status == XlateStatus::Ok)
-            indexFrame(pageBase(owned.pa), pid, vpage);
-    }
+    Addr frame = pageBase(t.as->translate(vpage, AccessType::Load).pa);
+    indexFrame(frame, pid, vpage);
 
     const Vma *vma = t.as->vmas().find(vpage);
     panic_if(!vma, "owner has mapping but no VMA");
 
     if (m.arg2 & flagWrite) {
-        // Ownership transfer: drop our copy entirely.
+        // Ownership transfer: drop our copy entirely. The frame stays
+        // allocated to the task until it exits, but nothing reads it
+        // again, so its host bytes go now.
         t.as->unmapPage(vpage);
+        k.machine().memory().discard(frame);
         st.owner = m.from;
         st.holders = 1u << m.from;
         ++invalidations_;
@@ -438,8 +438,14 @@ DsmEngine::onPageInvalidate(KernelInstance &k, const Message &m)
     Pid pid = static_cast<Pid>(m.arg0);
     Addr vpage = m.arg1;
     Task *t = k.findTask(pid);
-    if (t)
+    if (t) {
+        // As in an ownership transfer, the dropped replica's frame is
+        // unreachable until task exit.
+        XlateResult x = t->as->translate(vpage, AccessType::Load);
         t->as->unmapPage(vpage);
+        if (x.status == XlateStatus::Ok)
+            k.machine().memory().discard(pageBase(x.pa));
+    }
     touchMeta(k, pid, vpage, AccessType::Store);
 
     Message ack;

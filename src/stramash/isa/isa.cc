@@ -12,11 +12,9 @@ isaDescriptor(IsaType isa)
     // (x86 8.60G instructions vs Arm 10.13G for the same benchmark
     // split: ~1.18x).
     static const IsaDescriptor x86{IsaType::X86_64,
-                                   &X86PteFormat::instance(), 1.00, 1.0,
-                                   true};
+                                   &X86PteFormat::instance(), 1.00, true};
     static const IsaDescriptor arm{IsaType::AArch64,
-                                   &ArmPteFormat::instance(), 1.18, 1.0,
-                                   true};
+                                   &ArmPteFormat::instance(), 1.18, true};
     switch (isa) {
       case IsaType::X86_64: return x86;
       case IsaType::AArch64: return arm;

@@ -27,8 +27,6 @@ struct IsaDescriptor
     const PteFormat *pteFormat;
     /** Instructions per abstract work unit. */
     double instExpansion;
-    /** Non-memory IPC of the fixed core model (paper §7.3, PriME). */
-    double fixedIpc;
     /** True if LSE-style single-instruction CAS is available
      *  (paper §6.5: Stramash requires CAS, not LL/SC, for cross-ISA
      *  locking). */

@@ -6,7 +6,7 @@
  * memory of every node: "any memory operation from a single guest will
  * be reflected in others" (paper §7.1). We back it with host memory,
  * allocated sparsely in 4 KiB frames so an 8 GiB guest costs only what
- * it touches.
+ * it touches and has not discarded.
  *
  * Frames hang off a PageRadix keyed by frame number: a lookup is four
  * indexed loads, an untouched read allocates nothing, and each touched
@@ -126,7 +126,24 @@ class GuestMemory
         write(dst, buf.data(), size);
     }
 
-    /** Number of host frames materialised so far. */
+    /**
+     * Release the host frame holding @p addr, if any: the page reads
+     * as zero again and a later write re-materialises it. For frames
+     * nothing can read before the next write, such as a replica the
+     * DSM protocol has unmapped.
+     */
+    void
+    discard(Addr addr)
+    {
+        if (std::unique_ptr<Frame> *slot = frames_.find(addr)) {
+            if (*slot) {
+                slot->reset();
+                --frameCount_;
+            }
+        }
+    }
+
+    /** Number of host frames currently materialised. */
     std::size_t frameCount() const { return frameCount_; }
 
   private:

@@ -4,17 +4,23 @@
  * (paper §6.2: "one or more pairs of shared memory ring buffers per
  * kernel pair").
  *
- * The ring's storage is real guest memory, so every enqueue/dequeue
- * performs actual loads and stores *through the machine's cache and
- * coherence model*. The messaging cost the paper measures therefore
- * emerges from placement: a ring in the pool is remote for both
- * kernels (Shared-SHM), in x86-local memory it is remote only for
- * the Arm side (Separated-SHM), and so on — no per-model constants.
+ * The ring's slots are charged guest addresses: every enqueue and
+ * dequeue charges its loads and stores *through the machine's cache
+ * and coherence model*. The messaging cost the paper measures
+ * therefore emerges from placement: a ring in the pool is remote for
+ * both kernels (Shared-SHM), in x86-local memory it is remote only
+ * for the Arm side (Separated-SHM), and so on — no per-model
+ * constants.
+ *
+ * The messages themselves travel on the host, in a FIFO inside the
+ * ring: nothing reads a slot's bytes, so none are written to guest
+ * memory and a ring costs host memory only for what is in flight.
  */
 
 #ifndef STRAMASH_MSG_RING_BUFFER_HH
 #define STRAMASH_MSG_RING_BUFFER_HH
 
+#include <deque>
 #include <optional>
 
 #include "stramash/msg/message.hh"
@@ -79,6 +85,8 @@ class MessageRing
      *  writer, so they always match guest memory. */
     std::uint64_t head_ = 0;
     std::uint64_t tail_ = 0;
+    /** Queued messages, oldest first: tail_ - head_ of them. */
+    std::deque<Message> inFlight_;
 
     Addr headAddr() const { return base_; }
     Addr tailAddr() const { return base_ + 8; }

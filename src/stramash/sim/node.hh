@@ -10,7 +10,6 @@
 #include <string>
 
 #include "stramash/common/stats.hh"
-#include "stramash/isa/isa.hh"
 #include "stramash/mem/latency_profile.hh"
 #include "stramash/mem/topology.hh"
 
@@ -19,16 +18,15 @@ namespace stramash
 
 /**
  * Runtime state of a node. Timing follows the paper's PriME-style
- * model (§7.3): instructions retire at a fixed non-memory IPC, and
- * the cache simulator feeds memory-access overhead back into the
- * icount-driven clock.
+ * model (§7.3): instructions retire at a fixed non-memory IPC of 1
+ * on both ISAs (one cycle per instruction), and the cache simulator
+ * feeds memory-access overhead back into the icount-driven clock.
  */
 class Node
 {
   public:
     explicit Node(const TopologyNode &cfg)
         : cfg_(cfg),
-          desc_(isaDescriptor(cfg.isa)),
           profile_(latencyProfile(cfg.core)),
           stats_(std::string("node") + std::to_string(cfg.id))
     {
@@ -37,18 +35,16 @@ class Node
     NodeId id() const { return cfg_.id; }
     IsaType isa() const { return cfg_.isa; }
     const TopologyNode &config() const { return cfg_; }
-    const IsaDescriptor &isaDesc() const { return desc_; }
     const LatencyProfile &profile() const { return profile_; }
 
-    /** Retire @p n instructions at the fixed non-memory IPC. */
+    /** Retire @p n instructions at the fixed non-memory IPC of 1. */
     void
     retire(ICount n)
     {
         if (!alive_)
             return;
         icount_ += n;
-        cycles_ += static_cast<Cycles>(
-            static_cast<double>(n) / desc_.fixedIpc);
+        cycles_ += n;
     }
 
     /** Add memory/IPI/etc. overhead cycles from the timing model. */
@@ -94,7 +90,6 @@ class Node
 
   private:
     TopologyNode cfg_;
-    const IsaDescriptor &desc_;
     const LatencyProfile &profile_;
     StatGroup stats_;
     ICount icount_ = 0;

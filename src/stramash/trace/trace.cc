@@ -25,7 +25,7 @@ traceCategoryName(TraceCategory c)
 
 // ===================== TraceBuffer ===================================
 
-TraceBuffer::TraceBuffer(std::size_t capacity) : ring_(capacity)
+TraceBuffer::TraceBuffer(std::size_t capacity) : capacity_(capacity)
 {
     panic_if(capacity == 0, "TraceBuffer needs capacity >= 1");
 }
@@ -33,9 +33,13 @@ TraceBuffer::TraceBuffer(std::size_t capacity) : ring_(capacity)
 void
 TraceBuffer::record(const TraceEvent &ev)
 {
+    // The ring is allocated on first use, so a node that never
+    // records (tracing off, or a masked-out category) costs nothing.
+    if (ring_.empty())
+        ring_.resize(capacity_);
     ring_[head_] = ev;
-    head_ = (head_ + 1) % ring_.size();
-    if (size_ < ring_.size())
+    head_ = (head_ + 1) % capacity_;
+    if (size_ < capacity_)
         ++size_;
     else
         ++dropped_; // overwrote the oldest event
@@ -47,9 +51,9 @@ TraceBuffer::snapshot() const
     std::vector<TraceEvent> out;
     out.reserve(size_);
     // Oldest event sits at head_ once the ring has wrapped.
-    std::size_t start = (head_ + ring_.size() - size_) % ring_.size();
+    std::size_t start = (head_ + capacity_ - size_) % capacity_;
     for (std::size_t i = 0; i < size_; ++i)
-        out.push_back(ring_[(start + i) % ring_.size()]);
+        out.push_back(ring_[(start + i) % capacity_]);
     return out;
 }
 

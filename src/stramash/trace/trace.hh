@@ -14,9 +14,10 @@
  *  1. Near-zero cost when disabled: one predictable branch per
  *     potential event (`Tracer::enabledFor`), no allocation, no
  *     clock read.
- *  2. Bounded memory: each node owns a preallocated ring of POD
- *     records; when full the oldest record is overwritten and a
- *     dropped-events counter advances.
+ *  2. Bounded memory: each node owns a fixed-capacity ring of POD
+ *     records, allocated on the node's first recorded event; when
+ *     full the oldest record is overwritten and a dropped-events
+ *     counter advances.
  *  3. Tool-friendly output: ChromeTraceExporter (chrome_exporter.hh)
  *     turns the merged buffers into Chrome/Perfetto JSON, one track
  *     per node.
@@ -94,8 +95,10 @@ struct TraceEvent
 };
 
 /**
- * A preallocated drop-oldest ring of events. Single-threaded, like
- * the rest of the simulator: record() is a couple of stores.
+ * A fixed-capacity drop-oldest ring of events. The ring is allocated
+ * by the first record(), so a buffer that never records holds no
+ * event storage. Single-threaded, like the rest of the simulator:
+ * record() is a couple of stores.
  */
 class TraceBuffer
 {
@@ -104,7 +107,8 @@ class TraceBuffer
 
     void record(const TraceEvent &ev);
 
-    std::size_t capacity() const { return ring_.size(); }
+    /** Configured capacity, whether or not the ring is allocated. */
+    std::size_t capacity() const { return capacity_; }
     /** Events currently held (<= capacity). */
     std::size_t size() const { return size_; }
     /** Events overwritten because the ring was full. */
@@ -118,6 +122,8 @@ class TraceBuffer
     void clear();
 
   private:
+    std::size_t capacity_;
+    /** Empty until the first record(), then capacity_ events. */
     std::vector<TraceEvent> ring_;
     std::size_t head_ = 0; ///< next write slot
     std::size_t size_ = 0;

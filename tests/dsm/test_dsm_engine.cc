@@ -163,3 +163,43 @@ TEST_F(DsmTest, PayloadContentTravelsCorrectly)
     app_->readBuf(buf_, back.data(), back.size());
     EXPECT_EQ(back, pattern);
 }
+
+TEST_F(DsmTest, WritePingPongHoldsHostFramesSteady)
+{
+    // Writes alternate between two nodes, with reads in between: a
+    // write either takes the page from its owner (which unmaps its
+    // copy) or upgrades a replica (the other holder is invalidated).
+    // Every dropped copy is unreachable until the task exits, so its
+    // host frame is released and the count stays flat.
+    auto pattern = [](std::uint8_t seed) {
+        std::vector<std::uint8_t> p(pageSize);
+        for (std::size_t i = 0; i < p.size(); ++i)
+            p[i] = static_cast<std::uint8_t>(i * 7 + seed);
+        return p;
+    };
+    std::vector<std::uint8_t> back(pageSize);
+    auto round = [&](std::uint8_t seed) {
+        auto a = pattern(seed);
+        app_->writeBuf(buf_, a.data(), a.size());
+        app_->migrateToNext();
+        auto b = pattern(seed + 1);
+        app_->writeBuf(buf_, b.data(), b.size());
+        app_->migrateToNext();
+        app_->readBuf(buf_, back.data(), back.size());
+        EXPECT_EQ(back, b);
+        app_->migrateToNext();
+        app_->readBuf(buf_, back.data(), back.size());
+        EXPECT_EQ(back, b);
+        app_->writeBuf(buf_, a.data(), a.size());
+        app_->migrateToNext();
+        app_->readBuf(buf_, back.data(), back.size());
+        EXPECT_EQ(back, a);
+    };
+    round(0);
+    round(2);
+    std::size_t frames = sys_->machine().memory().frameCount();
+    for (std::uint8_t k = 1; k <= 8; ++k)
+        round(static_cast<std::uint8_t>(k * 16));
+    EXPECT_EQ(sys_->machine().memory().frameCount(), frames);
+    EXPECT_GE(engine().invalidations(), 16u);
+}

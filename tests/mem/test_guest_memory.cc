@@ -136,6 +136,27 @@ TEST(GuestMemory, FrameCountExactAfterRewrites)
     EXPECT_EQ(mem.frameCount(), 9u);
 }
 
+TEST(GuestMemory, DiscardReleasesTheFrameAndReadsZero)
+{
+    GuestMemory mem;
+    mem.store<std::uint64_t>(0x3000, 0x1122);
+    mem.store<std::uint64_t>(0x5008, 0x3344);
+    EXPECT_EQ(mem.frameCount(), 2u);
+    mem.discard(0x3ff8); // any address within the frame
+    EXPECT_EQ(mem.frameCount(), 1u);
+    EXPECT_EQ(mem.load<std::uint64_t>(0x3000), 0u);
+    EXPECT_EQ(mem.load<std::uint64_t>(0x5008), 0x3344u);
+    // Discarding an absent frame, or the same one twice, is a no-op.
+    mem.discard(0x3000);
+    mem.discard(Addr{7} << 30);
+    EXPECT_EQ(mem.frameCount(), 1u);
+    // A later write re-materialises a zeroed frame.
+    mem.store<std::uint32_t>(0x3010, 9);
+    EXPECT_EQ(mem.frameCount(), 2u);
+    EXPECT_EQ(mem.load<std::uint64_t>(0x3000), 0u);
+    EXPECT_EQ(mem.load<std::uint32_t>(0x3010), 9u);
+}
+
 TEST(GuestMemoryDeath, AddressBeyondPhysicalSpacePanics)
 {
     GuestMemory mem;

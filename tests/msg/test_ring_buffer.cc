@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "stramash/common/units.hh"
 #include "stramash/msg/ring_buffer.hh"
 
@@ -121,6 +124,58 @@ TEST_F(RingTest, ControlWordsInGuestMemoryTrackTheRing)
     EXPECT_EQ(head, total);
     EXPECT_EQ(tail, total + 2);
     EXPECT_EQ(tail - head, ring_.size());
+}
+
+TEST_F(RingTest, ChargedAccessStreamIsPinned)
+{
+    // One header-only message through slot 0, then one page-payload
+    // message through slot 1: every charged access, in order.
+    using Access = std::tuple<NodeId, AccessType, Addr, unsigned>;
+    std::vector<Access> seen;
+    machine_.setTraceHooks(
+        [&](NodeId n, AccessType t, Addr a, unsigned size) {
+            seen.emplace_back(n, t, a, size);
+        },
+        nullptr);
+    ASSERT_TRUE(ring_.enqueue(0, makeMsg(MsgType::FutexWait)));
+    ASSERT_TRUE(ring_.dequeue(1).has_value());
+    ASSERT_TRUE(ring_.enqueue(0, makeMsg(MsgType::PageResponse, pageSize)));
+    ASSERT_TRUE(ring_.dequeue(1).has_value());
+    machine_.clearTraceHooks();
+
+    const Addr head = ring_.base(), tail = ring_.base() + 8;
+    const Addr slot0 = ring_.base() + 64;
+    const Addr slot1 = slot0 + MessageRing::slotBytes;
+    const auto L = AccessType::Load, S = AccessType::Store;
+    const unsigned hdr = Message::headerBytes;
+    const unsigned page = pageSize;
+    std::vector<Access> expected = {
+        // Header-only enqueue and dequeue.
+        {0, L, head, 8}, {0, L, tail, 8}, {0, S, slot0, hdr},
+        {0, S, tail, 8},
+        {1, L, head, 8}, {1, L, tail, 8}, {1, L, slot0, hdr},
+        {1, S, head, 8},
+        // Page-payload enqueue and dequeue.
+        {0, L, head, 8}, {0, L, tail, 8}, {0, S, slot1, hdr},
+        {0, S, slot1 + hdr, page}, {0, S, tail, 8},
+        {1, L, head, 8}, {1, L, tail, 8}, {1, L, slot1, hdr},
+        {1, L, slot1 + hdr, page}, {1, S, head, 8},
+    };
+    EXPECT_EQ(seen, expected);
+}
+
+TEST_F(RingTest, RoundTripsMaterialiseNoGuestFrames)
+{
+    // Message bytes travel on the host: only the control words live
+    // in guest memory, however many slots the ring cycles through.
+    GuestMemory &mem = machine_.memory();
+    std::size_t frames = mem.frameCount();
+    for (std::size_t i = 0; i < ring_.capacity() * 3; ++i) {
+        ASSERT_TRUE(ring_.enqueue(0, makeMsg(MsgType::PageResponse,
+                                             pageSize)));
+        ASSERT_TRUE(ring_.dequeue(1).has_value());
+    }
+    EXPECT_EQ(mem.frameCount(), frames);
 }
 
 TEST_F(RingTest, FullRingRejectsEnqueue)

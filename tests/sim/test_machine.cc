@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "stramash/common/units.hh"
+#include "stramash/isa/isa.hh"
 #include "stramash/sim/machine.hh"
 
 using namespace stramash;
@@ -91,8 +92,8 @@ TEST(Machine, ArmRemoteAccessUsesArmLatencies)
 TEST(Machine, IsaExpansionVisibleInNode)
 {
     Machine m(MachineConfig::paperPair(MemoryModel::Shared));
-    EXPECT_DOUBLE_EQ(m.node(0).isaDesc().instExpansion, 1.0);
-    EXPECT_GT(m.node(1).isaDesc().instExpansion, 1.0);
+    EXPECT_DOUBLE_EQ(isaDescriptor(m.node(0).isa()).instExpansion, 1.0);
+    EXPECT_GT(isaDescriptor(m.node(1).isa()).instExpansion, 1.0);
 }
 
 TEST(MachineDeath, UnknownNode)

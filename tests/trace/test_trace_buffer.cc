@@ -82,6 +82,46 @@ TEST(TraceBuffer, ClearEmptiesButKeepsCapacity)
     EXPECT_EQ(snap[0].arg0, 42u);
 }
 
+TEST(TraceBuffer, UntouchedBufferSnapshotsEmpty)
+{
+    TraceBuffer buf(16);
+    EXPECT_EQ(buf.capacity(), 16u);
+    EXPECT_TRUE(buf.snapshot().empty());
+    buf.clear();
+    EXPECT_TRUE(buf.snapshot().empty());
+    EXPECT_EQ(buf.capacity(), 16u);
+}
+
+TEST(Tracer, IdleTracerAllocatesNoRing)
+{
+    // Rings larger than any host could hold: allocating one throws
+    // std::length_error before touching memory. Eight nodes with
+    // tracing off must construct, take events and merge without
+    // trying.
+    ManualClock clock(8);
+    TraceConfig cfg;
+    cfg.bufferEntries = std::vector<TraceEvent>().max_size() + 1;
+    Tracer tracer(cfg, 8, clock.fn());
+    for (NodeId n = 0; n < 8; ++n) {
+        tracer.instant(TraceCategory::Msg, "m", n);
+        tracer.emit(TraceCategory::Fault, "f", n, 0, 1, 2);
+        EXPECT_EQ(tracer.buffer(n).capacity(), cfg.bufferEntries);
+    }
+    EXPECT_TRUE(tracer.merged().empty());
+}
+
+TEST(Tracer, MergedOfUntouchedBuffersIsEmpty)
+{
+    ManualClock clock(8);
+    TraceConfig cfg;
+    cfg.enabled = true;
+    Tracer tracer(cfg, 8, clock.fn());
+    EXPECT_TRUE(tracer.merged().empty());
+    EXPECT_EQ(tracer.totalEvents(), 0u);
+    tracer.clear();
+    EXPECT_TRUE(tracer.merged().empty());
+}
+
 TEST(Tracer, DisabledRecordsNothing)
 {
     ManualClock clock(2);
