@@ -9,6 +9,7 @@
 #ifndef STRAMASH_CACHE_CACHE_HH
 #define STRAMASH_CACHE_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -151,6 +152,94 @@ class SetAssocCache
     std::size_t scan(Addr addr, unsigned *victim = nullptr) const;
     void touch(std::size_t index);
 };
+
+// The lookups are defined here, not in cache.cc, so the hot callers
+// (CacheHierarchy::probeL1, lookupFromL2, CoherenceDomain::accessLine)
+// inline them and the victim work folds away where it is not asked for.
+
+/**
+ * The one tag scan: the index in lines_ of the valid line holding
+ * @p addr, or `miss`. A non-null @p victim gets the way to replace:
+ * the first invalid way, else the least recently used one.
+ */
+inline std::size_t
+SetAssocCache::scan(Addr addr, unsigned *victim) const
+{
+    Addr lineNum = addr >> lineShift_;
+    std::size_t set = lineNum & setMask_;
+    std::size_t first = set << wayShift_;
+    std::uint64_t key = lineNum << 2;
+    unsigned invalid = 0;
+    for (unsigned w = 0; w < geom_.ways; ++w) {
+        std::uint64_t word = lines_[first + w].word_;
+        // Same line number and a non-Invalid state: 1 <= xor <= 3.
+        if ((word ^ key) - 1 < Line::stateMask)
+            return first + w;
+        invalid |= unsigned{(word & Line::stateMask) == 0} << w;
+    }
+    if (victim) {
+        *victim = invalid ? std::countr_zero(invalid)
+                          : static_cast<unsigned>(recency_[set] & 0xf);
+    }
+    return miss;
+}
+
+/** Make the way at @p index the most recently used of its set. */
+inline void
+SetAssocCache::touch(std::size_t index)
+{
+    std::uint64_t &order = recency_[index >> wayShift_];
+    auto way = static_cast<std::uint64_t>(index & (geom_.ways - 1));
+    unsigned top = 4 * (geom_.ways - 1);
+    if ((order >> top) == way)
+        return; // already most recent (slots above top stay zero)
+    // SWAR search for the slot holding `way`: xor zeroes its nibble,
+    // and the lowest flagged zero nibble is exact (a false flag only
+    // ever sits above a true zero).
+    constexpr std::uint64_t ones = 0x1111111111111111ull;
+    std::uint64_t x = order ^ (way * ones);
+    std::uint64_t zero = (x - ones) & ~x & (ones << 3);
+    unsigned slot = std::countr_zero(zero) & ~3u; // 4 * slot index
+    // Close the gap and put the way on top; slot < top, so the
+    // shifts stay below 64.
+    std::uint64_t below = order & ((std::uint64_t{1} << slot) - 1);
+    std::uint64_t above = (order >> (slot + 4)) << slot;
+    order = below | above | (way << top);
+}
+
+inline SetAssocCache::Line *
+SetAssocCache::probe(Addr addr)
+{
+    std::size_t i = scan(addr);
+    if (i == miss)
+        return nullptr;
+    touch(i);
+    return &lines_[i];
+}
+
+inline SetAssocCache::Line *
+SetAssocCache::probe(Addr addr, unsigned &victim)
+{
+    std::size_t i = scan(addr, &victim);
+    if (i == miss)
+        return nullptr;
+    touch(i);
+    return &lines_[i];
+}
+
+inline SetAssocCache::Line *
+SetAssocCache::find(Addr addr)
+{
+    std::size_t i = scan(addr);
+    return i == miss ? nullptr : &lines_[i];
+}
+
+inline const SetAssocCache::Line *
+SetAssocCache::find(Addr addr) const
+{
+    std::size_t i = scan(addr);
+    return i == miss ? nullptr : &lines_[i];
+}
 
 } // namespace stramash
 

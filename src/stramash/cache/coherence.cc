@@ -251,9 +251,11 @@ CoherenceDomain::access(NodeId node, AccessType type, Addr addr,
                         unsigned size)
 {
     panic_if(size == 0, "zero-size access");
-    AccessResult total;
     Addr first = lineBase(addr);
     Addr last = lineBase(addr + size - 1);
+    if (first == last)
+        return accessLine(node, type, first);
+    AccessResult total;
     for (Addr line = first; line <= last; line += cacheLineSize) {
         AccessResult r = accessLine(node, type, line);
         total.latency += r.latency;

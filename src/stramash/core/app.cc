@@ -13,8 +13,8 @@ App::App(System &sys, const PlacementHints &hints)
 App::App(System &sys, NodeId origin) : sys_(sys), origin_(origin)
 {
     pid_ = sys_.spawn(origin);
-    KernelInstance &k = sys_.kernel(origin);
-    Task &t = k.task(pid_);
+    rebind();
+    Task &t = *task_;
 
     // Standard layout: code, stack. Heap regions come from mmap().
     Vma code;
@@ -73,12 +73,12 @@ App::mmap(Addr bytes, bool writable, VmaKind kind,
     return base;
 }
 
-App::Current
-App::current()
+void
+App::rebind()
 {
-    sys_.noteUserOp(pid_);
-    KernelInstance &k = sys_.kernel(where());
-    return {k, k.task(pid_)};
+    kernel_ = &sys_.kernel(where());
+    task_ = &kernel_->task(pid_);
+    boundEpoch_ = sys_.machine().placementEpoch();
 }
 
 void

@@ -105,8 +105,16 @@ class App
     /** Resolve the hosting kernel and task. Every user-level
      *  operation funnels through here once, which is where the crash
      *  guard hooks in: if this task's kernel has died, detection and
-     *  recovery run before the operation proceeds. */
-    Current current();
+     *  recovery run before the operation proceeds. The binding is
+     *  cached until the machine's placement epoch moves. */
+    Current
+    current()
+    {
+        sys_.noteUserOp(pid_);
+        if (boundEpoch_ != sys_.machine().placementEpoch())
+            rebind();
+        return {*kernel_, *task_};
+    }
     KernelInstance &currentKernel() { return current().kernel; }
     Task &currentTask() { return current().task; }
 
@@ -115,6 +123,15 @@ class App
     Pid pid_;
     NodeId origin_;
     Addr mmapCursor_ = heapBase;
+    /** current()'s cached binding, valid at placement epoch
+     *  boundEpoch_. */
+    KernelInstance *kernel_ = nullptr;
+    Task *task_ = nullptr;
+    std::uint64_t boundEpoch_ = 0;
+
+    /** Look the binding up: the policy's location record, then that
+     *  kernel's task table. */
+    void rebind();
 
     /** current(), plus the instructions a memory access retires. */
     Current

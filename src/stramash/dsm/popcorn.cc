@@ -167,7 +167,10 @@ PopcornFutexPolicy::onFutexWake(KernelInstance &k, const Message &m)
 PopcornMigrationPolicy::PopcornMigrationPolicy(MessageLayer &msg,
                                                KernelLookup kernels,
                                                DsmEngine &engine)
-    : msg_(msg), kernels_(std::move(kernels)), engine_(engine)
+    : MigrationPolicy(msg.machine()),
+      msg_(msg),
+      kernels_(std::move(kernels)),
+      engine_(engine)
 {
 }
 

@@ -321,7 +321,10 @@ StramashFutexPolicy::wake(KernelInstance &kernel, Task &task, Addr uaddr,
 StramashMigrationPolicy::StramashMigrationPolicy(MessageLayer &msg,
                                                  KernelLookup kernels,
                                                  StramashShared &shared)
-    : msg_(msg), kernels_(std::move(kernels)), shared_(shared)
+    : MigrationPolicy(msg.machine()),
+      msg_(msg),
+      kernels_(std::move(kernels)),
+      shared_(shared)
 {
 }
 

@@ -6,29 +6,23 @@ namespace stramash
 AddressSpace::AddressSpace(GuestMemory &mem, const PteFormat &fmt,
                            const PteFormat *foreignFmt, FrameAlloc alloc,
                            FrameFree free, Addr lockWordsBase)
-    : pt_(std::make_unique<PageTable>(mem, fmt, std::move(alloc),
+    : mem_(mem),
+      pt_(std::make_unique<PageTable>(mem, fmt, std::move(alloc),
                                       std::move(free), foreignFmt)),
       lockWordsBase_(lockWordsBase)
 {
 }
 
-XlateResult
-AddressSpace::translate(Addr va, AccessType type)
+bool
+AddressSpace::fill(TlbEntry &e, Addr va)
 {
-    const std::uint64_t *cached = tlb_.find(va);
-    std::uint64_t entry = cached ? *cached : 0;
-    if (!entry) {
-        auto w = pt_->walk(pageBase(va));
-        if (!w || !w->pte.attrs.present)
-            return {XlateStatus::NotMapped, 0};
-        entry = w->pte.frame | tlbPresent |
-                (w->pte.attrs.writable ? tlbWritable : 0);
-        tlb_.slot(va) = entry;
-    }
-    Addr pa = pageBase(entry) + pageOffset(va);
-    if (type == AccessType::Store && !(entry & tlbWritable))
-        return {XlateStatus::NoWrite, pa};
-    return {XlateStatus::Ok, pa};
+    auto w = pt_->walk(pageBase(va));
+    if (!w || !w->pte.attrs.present)
+        return false;
+    e = {w->pte.frame | tlbPresent |
+             (w->pte.attrs.writable ? tlbWritable : 0),
+         nullptr, 0};
+    return true;
 }
 
 bool
@@ -54,8 +48,8 @@ AddressSpace::protectPage(Addr va, const PteAttrs &attrs)
 void
 AddressSpace::tlbInvalidate(Addr va)
 {
-    if (std::uint64_t *entry = tlb_.find(va))
-        *entry = 0;
+    if (TlbEntry *entry = tlb_.find(va))
+        *entry = {};
 }
 
 void

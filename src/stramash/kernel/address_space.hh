@@ -10,6 +10,11 @@
  * virtual page number, covering a 48-bit virtual space. Entries go
  * stale exactly like a real TLB's: a page-table change made behind its
  * back needs an explicit invalidate.
+ *
+ * Like a softmmu TLB, an entry also carries the host bytes of its
+ * frame, so a user access copies through it without a second lookup.
+ * That pointer is re-read from GuestMemory whenever its discards()
+ * count moved or the frame was not materialised when it was taken.
  */
 
 #ifndef STRAMASH_KERNEL_ADDRESS_SPACE_HH
@@ -35,6 +40,10 @@ struct XlateResult
 {
     XlateStatus status = XlateStatus::NotMapped;
     Addr pa = 0;
+    /** Host bytes at @p pa when status is Ok and the frame is
+     *  materialised, else nullptr. Valid until GuestMemory::discards()
+     *  moves. */
+    std::uint8_t *host = nullptr;
 };
 
 class AddressSpace
@@ -56,7 +65,22 @@ class AddressSpace
     const PageTable &pageTable() const { return *pt_; }
 
     /** Translate through the TLB, then the page table. */
-    XlateResult translate(Addr va, AccessType type);
+    XlateResult
+    translate(Addr va, AccessType type)
+    {
+        TlbEntry &e = tlb_.slot(va);
+        if (!e.word && !fill(e, va))
+            return {XlateStatus::NotMapped, 0};
+        Addr pa = pageBase(e.word) + pageOffset(va);
+        if (type == AccessType::Store && !(e.word & tlbWritable))
+            return {XlateStatus::NoWrite, pa};
+        if (!e.host || e.discards != mem_.discards()) {
+            e.host = mem_.hostPage(pa);
+            e.discards = mem_.discards();
+        }
+        return {XlateStatus::Ok, pa,
+                e.host ? e.host + pageOffset(va) : nullptr};
+    }
 
     /** Map a page and prime nothing (TLB fills on next access). */
     bool mapPage(Addr va, Addr pa, const PteAttrs &attrs);
@@ -79,14 +103,28 @@ class AddressSpace
     Addr ptlAddr() const { return lockWordsBase_ + 64; }
 
   private:
-    /** A TLB entry: the frame address, with these low bits set (an
-     *  empty slot is 0). */
+    struct TlbEntry
+    {
+        /** The frame address, with the low bits below set (an empty
+         *  entry is 0). */
+        std::uint64_t word = 0;
+        /** The frame's host bytes, or nullptr if not yet looked up or
+         *  not materialised then. */
+        std::uint8_t *host = nullptr;
+        /** GuestMemory::discards() when host was looked up. */
+        std::uint64_t discards = 0;
+    };
     static constexpr std::uint64_t tlbPresent = 1;
     static constexpr std::uint64_t tlbWritable = 2;
 
+    /** Walk the page table into the empty entry @p e for @p va.
+     *  @return false (entry left empty) if no present PTE maps it. */
+    bool fill(TlbEntry &e, Addr va);
+
+    GuestMemory &mem_;
     VmaTree vmas_;
     std::unique_ptr<PageTable> pt_;
-    PageRadix<std::uint64_t> tlb_;
+    PageRadix<TlbEntry> tlb_;
     Addr lockWordsBase_;
 };
 

@@ -117,6 +117,7 @@ KernelInstance::createTask(Pid pid, NodeId origin)
 
     auto &ref = *t;
     tasks_.emplace(pid, std::move(t));
+    machine_.notePlacementChange();
     stats_.counter("tasks_created") += 1;
     return ref;
 }
@@ -150,6 +151,7 @@ KernelInstance::destroyTask(Pid pid)
         freeUserPage(pa);
     t->ownedPages.clear();
     tasks_.erase(pid);
+    machine_.notePlacementChange();
     stats_.counter("tasks_destroyed") += 1;
 }
 
@@ -169,6 +171,7 @@ KernelInstance::resetForRejoin()
     // still run their frame callbacks (guard revocations), which is
     // harmless against the pre-reset allocator state.
     tasks_.clear();
+    machine_.notePlacementChange();
     futexes_.clear();
 
     // A rebooted kernel rediscovers its memory from the firmware map:
@@ -227,13 +230,13 @@ KernelInstance::handleLocalAnonFault(Task &t, Addr va, AccessType type)
     return true;
 }
 
-Addr
+XlateResult
 KernelInstance::resolve(Task &t, Addr va, AccessType type)
 {
     for (int attempt = 0; attempt < 8; ++attempt) {
         XlateResult x = t.as->translate(va, type);
         if (x.status == XlateStatus::Ok)
-            return x.pa;
+            return x;
         panic_if(!faultHandler_, "fault with no handler installed");
         stats_.counter("page_faults") += 1;
         // The span brackets the whole design-specific fault path —
@@ -248,17 +251,27 @@ KernelInstance::resolve(Task &t, Addr va, AccessType type)
           std::dec, node_);
 }
 
+XlateResult
+KernelInstance::userAccess(Task &t, Addr va, AccessType type,
+                           unsigned size)
+{
+    XlateResult x = resolve(t, va, type);
+    const GuestMemory &mem = machine_.memory();
+    std::uint64_t discards = mem.discards();
+    machine_.dataAccess(node_, type, x.pa, size);
+    if (mem.discards() != discards || pageOffset(x.pa) + size > pageSize)
+        x.host = nullptr;
+    return x;
+}
+
 void
 KernelInstance::userRead(Task &t, Addr va, void *dst, std::size_t size)
 {
     auto *out = static_cast<std::uint8_t *>(dst);
     while (size > 0) {
-        std::size_t chunk = std::min<std::size_t>(
-            size, pageSize - pageOffset(va));
-        Addr pa = resolve(t, va, AccessType::Load);
-        machine_.dataAccess(node_, AccessType::Load, pa,
-                            static_cast<unsigned>(chunk));
-        machine_.memory().read(pa, out, chunk);
+        auto chunk = static_cast<unsigned>(std::min<std::size_t>(
+            size, pageSize - pageOffset(va)));
+        copyOut(userAccess(t, va, AccessType::Load, chunk), out, chunk);
         out += chunk;
         va += chunk;
         size -= chunk;
@@ -271,12 +284,9 @@ KernelInstance::userWrite(Task &t, Addr va, const void *src,
 {
     auto *in = static_cast<const std::uint8_t *>(src);
     while (size > 0) {
-        std::size_t chunk = std::min<std::size_t>(
-            size, pageSize - pageOffset(va));
-        Addr pa = resolve(t, va, AccessType::Store);
-        machine_.dataAccess(node_, AccessType::Store, pa,
-                            static_cast<unsigned>(chunk));
-        machine_.memory().write(pa, in, chunk);
+        auto chunk = static_cast<unsigned>(std::min<std::size_t>(
+            size, pageSize - pageOffset(va)));
+        copyIn(userAccess(t, va, AccessType::Store, chunk), in, chunk);
         in += chunk;
         va += chunk;
         size -= chunk;
@@ -287,24 +297,25 @@ std::uint32_t
 KernelInstance::userCas(Task &t, Addr va, std::uint32_t expected,
                         std::uint32_t desired, bool &success)
 {
-    Addr pa = resolve(t, va, AccessType::Store);
     // A CAS needs exclusive ownership regardless of outcome: charge
     // a store access.
-    machine_.dataAccess(node_, AccessType::Store, pa, 4);
-    std::uint32_t old = machine_.memory().load<std::uint32_t>(pa);
+    XlateResult x = userAccess(t, va, AccessType::Store, 4);
+    std::uint32_t old;
+    copyOut(x, &old, 4);
     success = old == expected;
     if (success)
-        machine_.memory().store<std::uint32_t>(pa, desired);
+        copyIn(x, &desired, 4);
     return old;
 }
 
 std::uint32_t
 KernelInstance::userFetchAdd(Task &t, Addr va, std::uint32_t delta)
 {
-    Addr pa = resolve(t, va, AccessType::Store);
-    machine_.dataAccess(node_, AccessType::Store, pa, 4);
-    std::uint32_t old = machine_.memory().load<std::uint32_t>(pa);
-    machine_.memory().store<std::uint32_t>(pa, old + delta);
+    XlateResult x = userAccess(t, va, AccessType::Store, 4);
+    std::uint32_t old;
+    copyOut(x, &old, 4);
+    std::uint32_t sum = old + delta;
+    copyIn(x, &sum, 4);
     return old;
 }
 

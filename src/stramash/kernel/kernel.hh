@@ -9,6 +9,7 @@
 #ifndef STRAMASH_KERNEL_KERNEL_HH
 #define STRAMASH_KERNEL_KERNEL_HH
 
+#include <cstring>
 #include <functional>
 #include <map>
 
@@ -119,12 +120,19 @@ class KernelInstance
     /** Write user memory, faulting pages in as needed. */
     void userWrite(Task &t, Addr va, const void *src, std::size_t size);
 
+    // The typed accessors copy with a size known at compile time, so
+    // a word moves with one host load or store.
+
     template <typename T>
     T
     userLoad(Task &t, Addr va)
     {
         T v;
-        userRead(t, va, &v, sizeof(T));
+        if (pageOffset(va) + sizeof(T) > pageSize)
+            userRead(t, va, &v, sizeof(T));
+        else
+            copyOut(userAccess(t, va, AccessType::Load, sizeof(T)), &v,
+                    sizeof(T));
         return v;
     }
 
@@ -132,7 +140,11 @@ class KernelInstance
     void
     userStore(Task &t, Addr va, const T &v)
     {
-        userWrite(t, va, &v, sizeof(T));
+        if (pageOffset(va) + sizeof(T) > pageSize)
+            userWrite(t, va, &v, sizeof(T));
+        else
+            copyIn(userAccess(t, va, AccessType::Store, sizeof(T)), &v,
+                   sizeof(T));
     }
 
     /**
@@ -184,10 +196,43 @@ class KernelInstance
      */
     bool handleLocalAnonFault(Task &t, Addr va, AccessType type);
 
-    /** Resolve va -> pa, invoking the fault handler as needed. */
-    Addr resolve(Task &t, Addr va, AccessType type);
+    /** Translate @p va, invoking the fault handler as needed; the
+     *  result's status is always Ok. */
+    XlateResult resolve(Task &t, Addr va, AccessType type);
 
   private:
+    /**
+     * Resolve one user access of @p size bytes at @p va and charge it.
+     * The result's host is the bytes to copy through, or nullptr when
+     * the access must go through GuestMemory at its pa instead: the
+     * frame is not materialised (it reads as zero; a write allocates
+     * it), the access runs past the frame, or charging it discarded
+     * frames, as a DSM write-back can.
+     */
+    XlateResult userAccess(Task &t, Addr va, AccessType type,
+                           unsigned size);
+
+    /** Copy the bytes of a userAccess() out: through its host bytes,
+     *  else through GuestMemory. */
+    void
+    copyOut(const XlateResult &x, void *dst, std::size_t size)
+    {
+        if (x.host)
+            std::memcpy(dst, x.host, size);
+        else
+            machine_.memory().read(x.pa, dst, size);
+    }
+
+    /** Copy bytes into a userAccess(), the same way. */
+    void
+    copyIn(const XlateResult &x, const void *src, std::size_t size)
+    {
+        if (x.host)
+            std::memcpy(x.host, src, size);
+        else
+            machine_.memory().write(x.pa, src, size);
+    }
+
     Machine &machine_;
     NodeId node_;
     IsaType isa_;

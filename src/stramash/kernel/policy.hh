@@ -15,6 +15,7 @@
 #include "stramash/common/logging.hh"
 #include "stramash/kernel/address_space.hh"
 #include "stramash/kernel/task.hh"
+#include "stramash/sim/machine.hh"
 
 namespace stramash
 {
@@ -64,6 +65,7 @@ class FutexPolicy
 class MigrationPolicy
 {
   public:
+    explicit MigrationPolicy(Machine &machine) : machine_(machine) {}
     virtual ~MigrationPolicy() = default;
 
     /** Move the task to @p dest; returns when it is runnable there. */
@@ -83,10 +85,16 @@ class MigrationPolicy
     // ---- thread-location bookkeeping ----
     // Both designs track where each task's thread currently runs;
     // crash recovery reads and rewrites that record (re-home a task
-    // whose node died, forget a reaped one).
+    // whose node died, forget a reaped one). Every change moves the
+    // machine's placement epoch.
 
     /** Record a freshly spawned task (running at its origin). */
-    void trackTask(Pid pid, NodeId origin) { current_[pid] = origin; }
+    void
+    trackTask(Pid pid, NodeId origin)
+    {
+        current_[pid] = origin;
+        machine_.notePlacementChange();
+    }
 
     /** Node the task's thread currently runs on. */
     NodeId
@@ -98,10 +106,20 @@ class MigrationPolicy
     }
 
     /** Rewrite the location record without moving any state. */
-    void setCurrentNode(Pid pid, NodeId node) { current_[pid] = node; }
+    void
+    setCurrentNode(Pid pid, NodeId node)
+    {
+        current_[pid] = node;
+        machine_.notePlacementChange();
+    }
 
     /** Drop the location record (task reaped). */
-    void forgetTask(Pid pid) { current_.erase(pid); }
+    void
+    forgetTask(Pid pid)
+    {
+        current_.erase(pid);
+        machine_.notePlacementChange();
+    }
 
     /** Visit every tracked (pid, current node) pair, in pid order. */
     void
@@ -112,6 +130,7 @@ class MigrationPolicy
     }
 
   private:
+    Machine &machine_;
     std::map<Pid, NodeId> current_;
 };
 

@@ -13,6 +13,11 @@
  * 2 MiB region costs one 4 KiB leaf. The four levels cover a 48-bit
  * physical address space.
  *
+ * A caller may keep a frame's host pointer (hostPage()) across
+ * accesses, as the TLB entries in kernel/address_space do. discard() is
+ * the only thing that frees a frame, and it bumps discards(): a pointer
+ * taken before the count moved may dangle.
+ *
  * GuestMemory is purely functional storage — it has no timing. Timing
  * comes from the cache hierarchy and memory model in cache/ and mem/.
  */
@@ -139,9 +144,25 @@ class GuestMemory
             if (*slot) {
                 slot->reset();
                 --frameCount_;
+                ++discards_;
             }
         }
     }
+
+    /**
+     * Host bytes of the page holding @p addr (its first byte), or
+     * nullptr while the page is not materialised. Valid until
+     * discards() moves.
+     */
+    std::uint8_t *
+    hostPage(Addr addr) const
+    {
+        Frame *f = find(addr);
+        return f ? f->data() : nullptr;
+    }
+
+    /** Frames released so far: the generation of every hostPage(). */
+    std::uint64_t discards() const { return discards_; }
 
     /** Number of host frames currently materialised. */
     std::size_t frameCount() const { return frameCount_; }
@@ -171,6 +192,7 @@ class GuestMemory
 
     PageRadix<std::unique_ptr<Frame>> frames_;
     std::size_t frameCount_ = 0;
+    std::uint64_t discards_ = 0;
 };
 
 } // namespace stramash

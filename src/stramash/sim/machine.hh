@@ -240,6 +240,15 @@ class Machine
         retireTrace_ = nullptr;
     }
 
+    /**
+     * Host-side count of changes to where tasks run: a kernel's task
+     * table (create, destroy, rejoin reset) or the migration policy's
+     * location record changed. App caches its (kernel, task) binding
+     * until this moves. No simulated effect.
+     */
+    std::uint64_t placementEpoch() const { return placementEpoch_; }
+    void notePlacementChange() { ++placementEpoch_; }
+
   private:
     /**
      * Poll the scheduled crash + link sites after a clock advance on
@@ -290,6 +299,7 @@ class Machine
     /** Latches true on the first configured link fault. */
     bool partitionArmed_ = false;
     LinkEventFn linkHook_;
+    std::uint64_t placementEpoch_ = 0;
 };
 
 } // namespace stramash

@@ -22,6 +22,56 @@ class AppTest : public testing::Test
     std::unique_ptr<App> app_;
 };
 
+/** Every node's clock. */
+std::vector<Cycles>
+clocks(System &sys)
+{
+    std::vector<Cycles> out;
+    for (NodeId n = 0; n < sys.nodeCount(); ++n)
+        out.push_back(sys.machine().node(n).cycles());
+    return out;
+}
+
+/**
+ * Read @p va once and check the App's cached binding followed the task
+ * to @p node: the read returns @p expect, its access is charged to
+ * @p node alone, and every other node's clock stands still.
+ */
+void
+expectReadChargedTo(System &sys, App &app, Addr va, std::uint64_t expect,
+                    NodeId node)
+{
+    std::vector<std::pair<NodeId, Addr>> loads;
+    sys.machine().setTraceHooks(
+        [&](NodeId n, AccessType type, Addr pa, unsigned size) {
+            if (type == AccessType::Load && size == 8)
+                loads.emplace_back(n, pa);
+        },
+        nullptr);
+    std::vector<Cycles> before = clocks(sys);
+    EXPECT_EQ(app.read<std::uint64_t>(va), expect);
+    std::vector<Cycles> after = clocks(sys);
+    sys.machine().clearTraceHooks();
+    // The page may have been faulted in by this very read.
+    Addr pa = sys.kernel(node).task(app.pid()).as->translate(
+        va, AccessType::Load).pa;
+    std::vector<NodeId> chargedTo;
+    for (auto [n, a] : loads) {
+        if (a == pa)
+            chargedTo.push_back(n);
+    }
+    EXPECT_EQ(chargedTo, std::vector<NodeId>{node});
+    for (NodeId n = 0; n < sys.nodeCount(); ++n) {
+        if (n == node)
+            EXPECT_GT(after[n], before[n]) << "node " << n;
+        else
+            EXPECT_EQ(after[n], before[n]) << "node " << n;
+    }
+    EXPECT_EQ(app.where(), node);
+    EXPECT_EQ(&app.currentKernel(), &sys.kernel(node));
+    EXPECT_EQ(&app.currentTask(), &sys.kernel(node).task(app.pid()));
+}
+
 } // namespace
 
 TEST_F(AppTest, StandardLayoutCreated)
@@ -145,4 +195,52 @@ TEST_F(AppTest, DestructorCleansUpTasks)
 TEST_F(AppTest, DeathOnZeroByteMmap)
 {
     EXPECT_DEATH(app_->mmap(0), "zero");
+}
+
+TEST_F(AppTest, CachedBindingFollowsMigrate)
+{
+    Addr buf = app_->mmap(pageSize);
+    app_->write<std::uint64_t>(buf, 0x5eed);
+    expectReadChargedTo(*sys_, *app_, buf, 0x5eed, 0);
+    app_->migrate(1);
+    expectReadChargedTo(*sys_, *app_, buf, 0x5eed, 1);
+    app_->write<std::uint64_t>(buf, 0x5eee);
+    app_->migrate(0);
+    expectReadChargedTo(*sys_, *app_, buf, 0x5eee, 0);
+}
+
+TEST_F(AppTest, CachedBindingFollowsProcessMigration)
+{
+    Addr buf = app_->mmap(pageSize);
+    app_->write<std::uint64_t>(buf, 0xfade);
+    expectReadChargedTo(*sys_, *app_, buf, 0xfade, 0);
+    sys_->migrateProcess(app_->pid(), 1);
+    // The source kernel forgot the task: a stale binding would point
+    // at a destroyed task record.
+    EXPECT_FALSE(sys_->kernel(0).hasTask(app_->pid()));
+    expectReadChargedTo(*sys_, *app_, buf, 0xfade, 1);
+}
+
+TEST(AppCrash, CachedBindingFollowsCrashRehome)
+{
+    SystemConfig cfg;
+    cfg.osDesign = OsDesign::FusedKernel;
+    cfg.crash.enabled = true;
+    System sys(cfg);
+    App app(sys, 0);
+    Addr buf = app.mmap(pageSize);
+    app.write<std::uint64_t>(buf, 0xc0ffee);
+    app.migrate(1);
+    EXPECT_EQ(app.read<std::uint64_t>(buf), 0xc0ffeeu);
+    EXPECT_EQ(&app.currentKernel(), &sys.kernel(1));
+
+    // The hosting node dies; the next operation runs detection and
+    // recovery first, which re-homes the task on the survivor. Only
+    // then do the survivor's heartbeats stop charging node 0 while
+    // the task runs elsewhere, so the clock check starts here.
+    sys.killNode(1);
+    app.compute(1);
+    EXPECT_EQ(app.where(), 0u);
+    EXPECT_EQ(sys.crashManager()->recovery().value("recoveries"), 1u);
+    expectReadChargedTo(sys, app, buf, 0xc0ffee, 0);
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "stramash/kernel/address_space.hh"
 
 using namespace stramash;
@@ -145,4 +147,26 @@ TEST_F(AddressSpaceTest, LockWordAddresses)
 {
     EXPECT_EQ(as_->vmaLockAddr(), 0x10000u);
     EXPECT_EQ(as_->ptlAddr(), 0x10040u);
+}
+
+TEST_F(AddressSpaceTest, TlbHostPointerFollowsDiscard)
+{
+    Addr pa = alloc();
+    ASSERT_TRUE(as_->mapPage(0xb000, pa, attrs(true)));
+    // Not materialised: the entry carries no host bytes.
+    EXPECT_EQ(as_->translate(0xb010, AccessType::Load).host, nullptr);
+    mem_.store<std::uint64_t>(pa + 0x10, 77);
+    auto x = as_->translate(0xb010, AccessType::Load);
+    ASSERT_NE(x.host, nullptr);
+    std::uint64_t v;
+    std::memcpy(&v, x.host, sizeof v);
+    EXPECT_EQ(v, 77u);
+
+    mem_.discard(pa);
+    EXPECT_EQ(as_->translate(0xb010, AccessType::Load).host, nullptr);
+    mem_.store<std::uint64_t>(pa + 0x10, 78);
+    x = as_->translate(0xb010, AccessType::Store);
+    ASSERT_NE(x.host, nullptr);
+    std::memcpy(&v, x.host, sizeof v);
+    EXPECT_EQ(v, 78u);
 }

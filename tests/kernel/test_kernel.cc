@@ -108,6 +108,89 @@ TEST_F(KernelTest, UserReadWriteFaultsAndRoundTrips)
     EXPECT_GE(kernel_.stats().value("anon_faults"), 1u);
 }
 
+TEST_F(KernelTest, UserAccessFollowsDiscardOfAMemoisedFrame)
+{
+    // The TLB entry hands user accesses the frame's host bytes; a
+    // discard frees them, so a stale pointer here is a use after free.
+    Task &t = spawn();
+    const Addr va = 0x100208;
+    kernel_.userStore<std::uint64_t>(t, va, 0x1122334455667788);
+    EXPECT_EQ(kernel_.userLoad<std::uint64_t>(t, va), 0x1122334455667788u);
+    XlateResult x = t.as->translate(va, AccessType::Load);
+    ASSERT_EQ(x.status, XlateStatus::Ok);
+    ASSERT_NE(x.host, nullptr);
+
+    GuestMemory &mem = machine_.memory();
+    const std::size_t frames = mem.frameCount();
+    mem.discard(x.pa);
+    EXPECT_EQ(mem.frameCount(), frames - 1);
+    EXPECT_EQ(kernel_.userLoad<std::uint64_t>(t, va), 0u);
+    std::uint64_t buf = 1;
+    kernel_.userRead(t, va, &buf, sizeof buf);
+    EXPECT_EQ(buf, 0u);
+    EXPECT_EQ(mem.frameCount(), frames - 1); // reading allocates nothing
+
+    // A write re-materialises the frame at the same guest address.
+    kernel_.userStore<std::uint64_t>(t, va, 42);
+    EXPECT_EQ(mem.frameCount(), frames);
+    EXPECT_EQ(kernel_.userLoad<std::uint64_t>(t, va), 42u);
+    EXPECT_EQ(mem.load<std::uint64_t>(x.pa), 42u);
+    EXPECT_EQ(kernel_.userFetchAdd(t, va, 3), 42u);
+    mem.discard(x.pa);
+    EXPECT_EQ(kernel_.userFetchAdd(t, va, 5), 0u);
+    EXPECT_EQ(kernel_.userLoad<std::uint64_t>(t, va), 5u);
+
+    // Page-table changes still reach the access path through the memo.
+    PteAttrs ro = t.as->vmas().find(va)->prot;
+    ro.present = true;
+    ro.writable = false;
+    ASSERT_TRUE(t.as->protectPage(va, ro));
+    EXPECT_EQ(t.as->translate(va, AccessType::Store).status,
+              XlateStatus::NoWrite);
+    EXPECT_EQ(t.as->translate(va, AccessType::Load).status,
+              XlateStatus::Ok);
+    ASSERT_TRUE(t.as->unmapPage(va));
+    EXPECT_EQ(t.as->translate(va, AccessType::Load).status,
+              XlateStatus::NotMapped);
+}
+
+TEST_F(KernelTest, DiscardDuringTheChargedAccessFallsBackToGuestMemory)
+{
+    // A write-back hook runs inside the access's own charge and may
+    // discard the very frame the access resolved (as a DSM write-back
+    // can): the copy must then go through guest memory, not the host
+    // pointer translated before the charge.
+    Task &t = spawn();
+    const Addr va = 0x100300;
+    kernel_.userStore<std::uint64_t>(t, va, 1);
+    const Addr pa = t.as->translate(va, AccessType::Load).pa;
+    GuestMemory &mem = machine_.memory();
+    CoherenceDomain &caches = machine_.caches();
+    caches.setWritebackHook([&](NodeId, Addr) { mem.discard(pa); });
+
+    // Fill the line's set in every level with dirty lines, so the next
+    // access to it evicts one from the LLC and runs the hook. The
+    // 16-way 4 MiB L3 repeats its sets every 256 KiB.
+    auto dirtyTheSet = [&] {
+        caches.flushAll();
+        for (Addr k = 1; k <= 16; ++k) {
+            machine_.dataAccess(0, AccessType::Store,
+                                lineBase(pa) + k * 256_KiB, 8);
+        }
+    };
+
+    dirtyTheSet();
+    kernel_.userStore<std::uint64_t>(t, va, 0xabcdef);
+    EXPECT_EQ(mem.load<std::uint64_t>(pa), 0xabcdefu);
+    EXPECT_EQ(kernel_.userLoad<std::uint64_t>(t, va), 0xabcdefu);
+
+    const std::size_t frames = mem.frameCount();
+    dirtyTheSet();
+    EXPECT_EQ(kernel_.userLoad<std::uint64_t>(t, va), 0u);
+    EXPECT_EQ(mem.frameCount(), frames - 1);
+    caches.setWritebackHook(nullptr);
+}
+
 TEST_F(KernelTest, UserAccessSpansPages)
 {
     Task &t = spawn();
