@@ -24,7 +24,10 @@
  *    queue stealing) on four nodes, both designs;
  *  - a Popcorn crash recovery (task reaping, DSM re-ownership), a
  *    four-node false suspicion outvoted by the quorum and then a real
- *    crash (both designs), and a four-node Popcorn sever and heal.
+ *    crash (both designs), and a four-node Popcorn sever and heal;
+ *  - the scheduler's run queues on four nodes, both designs: a
+ *    skewed backlog drained in short blocks, with a steal round
+ *    (coherent-memory pops or a steal RPC) between blocks.
  *
  * A refactor must leave every hash unchanged. A deliberate model
  * change re-records them: the failure message prints the new value.
@@ -247,6 +250,34 @@ openLoopDigest(OsDesign design)
     EXPECT_GT(rep.cacheHits, 0u);
     EXPECT_GT(fe.stats().value("queue_steals"), 0u);
     return digest(sys, {&fe.stats(), &sched.stats()});
+}
+
+/** 96 items queued on nodes 0 and 1 of four, three in four on node
+ *  0, drained four at a time so idle nodes steal between blocks. */
+std::uint64_t
+schedStealDigest(OsDesign design)
+{
+    SystemConfig cfg;
+    cfg.osDesign = design;
+    cfg.topology = TopologySpec::alternating(4, MemoryModel::Shared);
+    System sys(cfg);
+    SchedConfig scfg;
+    scfg.runBlock = 4;
+    Scheduler sched(sys, scfg);
+    for (std::uint64_t i = 0; i < 96; ++i) {
+        WorkItem item;
+        item.tag = i;
+        item.weight = 2000 + 100 * (i % 7);
+        item.fn = [&sys, w = item.weight](NodeId node) {
+            sys.machine().retire(node, 500);
+            sys.machine().stall(node, w);
+        };
+        sched.submitTo(i % 4 == 3 ? 1 : 0, std::move(item));
+    }
+    sched.runInline();
+    EXPECT_EQ(sched.itemsExecuted(), 96u);
+    EXPECT_GT(sched.stats().value("steals_succeeded"), 0u);
+    return digest(sys);
 }
 
 /** A task born on node 1 of four works from node 0; node 0 falsely
@@ -535,4 +566,16 @@ TEST(Golden, PopcornFourNodeSeverHeal)
     EXPECT_TRUE(sys.isNodeAlive(3));
     std::uint64_t h = digest(sys);
     EXPECT_EQ(h, 0x7c92239e74c122cfull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, FusedSchedSteal)
+{
+    std::uint64_t h = schedStealDigest(OsDesign::FusedKernel);
+    EXPECT_EQ(h, 0xa6d4840cd3caea89ull) << std::hex << "hash 0x" << h;
+}
+
+TEST(Golden, PopcornSchedSteal)
+{
+    std::uint64_t h = schedStealDigest(OsDesign::MultipleKernel);
+    EXPECT_EQ(h, 0x7b9ab2f94328a5bbull) << std::hex << "hash 0x" << h;
 }
