@@ -19,9 +19,6 @@ SetAssocCache::SetAssocCache(const CacheGeometry &geom) : geom_(geom)
 {
     // All the indexing below is mask/shift work cached here once; a
     // non-power-of-two shape would alias sets silently, so fail loud.
-    panic_if(!std::has_single_bit(geom_.lineSize),
-             "cache line size must be a power of two, got ",
-             geom_.lineSize);
     panic_if(geom_.ways == 0 || !std::has_single_bit(geom_.ways),
              "cache way count must be a power of two, got ",
              geom_.ways);
@@ -31,13 +28,12 @@ SetAssocCache::SetAssocCache(const CacheGeometry &geom) : geom_(geom)
                  !std::has_single_bit(geom_.sizeBytes),
              "cache size must be a power of two, got ",
              geom_.sizeBytes);
-    panic_if(geom_.sizeBytes < geom_.lineSize * geom_.ways,
+    panic_if(geom_.sizeBytes < cacheLineSize * geom_.ways,
              "cache of ", geom_.sizeBytes,
              " bytes cannot hold one set of ", geom_.ways, " ",
-             geom_.lineSize, "-byte lines");
+             cacheLineSize, "-byte lines");
     numSets_ = geom_.numSets();
     setMask_ = numSets_ - 1;
-    lineShift_ = std::countr_zero(geom_.lineSize);
     wayShift_ = std::countr_zero(geom_.ways);
     lines_.resize(numSets_ * geom_.ways);
     // Any starting order works: the first fills take invalid ways.
@@ -51,7 +47,7 @@ std::optional<SetAssocCache::Victim>
 SetAssocCache::insert(Addr addr, Mesi state, unsigned way)
 {
     panic_if(state == Mesi::Invalid, "inserting an Invalid line");
-    Addr lineNum = addr >> lineShift_;
+    Addr lineNum = addr >> lineShift;
     // Reuse the line if already present (state change).
     std::size_t i = way == anyWay ? scan(addr, &way) : miss;
     std::optional<Victim> out;
@@ -59,7 +55,7 @@ SetAssocCache::insert(Addr addr, Mesi state, unsigned way)
         i = ((lineNum & setMask_) << wayShift_) + way;
         const Line &l = lines_[i];
         if (l.valid())
-            out = Victim{(l.word_ >> 2) << lineShift_, l.dirty()};
+            out = Victim{(l.word_ >> 2) << lineShift, l.dirty()};
     }
     lines_[i].word_ = (lineNum << 2) | static_cast<std::uint64_t>(state);
     touch(i);

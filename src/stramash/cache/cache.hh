@@ -31,21 +31,20 @@ enum class Mesi : std::uint8_t {
 const char *mesiName(Mesi m);
 
 /**
- * Static shape of one cache. SetAssocCache requires sizeBytes, ways
- * and lineSize to all be powers of two — set indexing is pure
- * mask/shift work, and a non-power-of-two shape would silently alias
- * sets. The constructor validates this loudly.
+ * Static shape of one cache of cacheLineSize-byte lines.
+ * SetAssocCache requires sizeBytes and ways to be powers of two — set
+ * indexing is pure mask/shift work, and a non-power-of-two shape
+ * would silently alias sets. The constructor validates this loudly.
  */
 struct CacheGeometry
 {
     Addr sizeBytes;
     unsigned ways;
-    Addr lineSize = cacheLineSize;
 
     Addr
     numSets() const
     {
-        return sizeBytes / (lineSize * ways);
+        return sizeBytes / (cacheLineSize * ways);
     }
 };
 
@@ -88,7 +87,7 @@ class SetAssocCache
     const CacheGeometry &geometry() const { return geom_; }
 
     /** Line-aligned address of the set/tag for @p addr. */
-    Addr lineAddrOf(Addr addr) const { return addr & ~(geom_.lineSize - 1); }
+    Addr lineAddrOf(Addr addr) const { return addr & ~(cacheLineSize - 1); }
 
     /**
      * Look up a line. On a hit the line becomes most recently used.
@@ -142,7 +141,7 @@ class SetAssocCache
     CacheGeometry geom_;
     Addr numSets_;
     Addr setMask_;
-    unsigned lineShift_;
+    static constexpr unsigned lineShift = std::countr_zero(cacheLineSize);
     unsigned wayShift_;
     std::vector<Line> lines_; // sets * ways, row-major by set
     /** Per set: way numbers by recency, 4 bits each, LRU lowest. */
@@ -165,7 +164,7 @@ class SetAssocCache
 inline std::size_t
 SetAssocCache::scan(Addr addr, unsigned *victim) const
 {
-    Addr lineNum = addr >> lineShift_;
+    Addr lineNum = addr >> lineShift;
     std::size_t set = lineNum & setMask_;
     std::size_t first = set << wayShift_;
     std::uint64_t key = lineNum << 2;

@@ -237,7 +237,7 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
                 if (prior == Mesi::Invalid)
                     continue;
                 evicted(otherId, victim, prior == Mesi::Modified);
-                res.latency += snoopCosts_.backInvalidate;
+                res.latency += SnoopCosts::backInvalidate;
                 ++*nc.backInvalidates;
             }
         }

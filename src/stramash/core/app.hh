@@ -51,10 +51,6 @@ class App
     /** Migrate to @p dest (no-op if already there). */
     void migrate(NodeId dest);
 
-    /** Alias of migrate(): reads better at topology-aware call
-     *  sites paired with migrateToNext(). */
-    void migrateTo(NodeId peer) { migrate(peer); }
-
     /**
      * Migrate to the next alive node in cyclic node order. On the
      * paper pair this is exactly "the other node"; on an N-node

@@ -31,10 +31,6 @@ struct PlacementHints
 {
     /** Prefer a node running this ISA (e.g. an ISA-affine phase). */
     std::optional<IsaType> preferIsa;
-    /** Expected compute weight in abstract work units; the load
-     *  policies use it to balance queued work, the cost model to
-     *  weigh migration charge against remaining benefit. */
-    std::uint64_t weightCycles = 0;
     /** Warm-cache footprint in bytes: state the task would have to
      *  re-fetch after moving to another node's cache hierarchy. */
     std::uint64_t footprintBytes = 0;

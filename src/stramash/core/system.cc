@@ -45,8 +45,7 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
         reserved.push_back(
             {base, base + ShmMessageLayer::paperAreaBytes});
         msg_ = std::make_unique<ShmMessageLayer>(
-            *machine_, base, ShmMessageLayer::paperAreaBytes,
-            cfg.useIpiNotification);
+            *machine_, base, cfg.useIpiNotification);
     } else {
         msg_ = std::make_unique<TcpMessageLayer>(*machine_);
     }
@@ -116,7 +115,7 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
             for (auto &k : kernels_)
                 ks.push_back(k.get());
             gma_ = std::make_unique<GlobalMemoryAllocator>(
-                *machine_, *msg_, ks, cfg.gma, reserved);
+                *machine_, *msg_, ks, GmaConfig{}, reserved);
             for (auto &k : kernels_) {
                 k->setLowMemoryHook([this](KernelInstance &ki) {
                     return gma_->onLowMemory(ki);
@@ -128,7 +127,9 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
     // Link-only plans deliberately do NOT imply a CrashManager: a
     // partition without a detector is a pure transport drill. Fencing
     // under partitions needs crash.enabled like any other detection.
-    bool crashPlanned = cfg.faultPlan && cfg.faultPlan->crashPlanned();
+    bool crashPlanned =
+        cfg.faultPlan &&
+        cfg.faultPlan->schedules(ScheduledFault::Kind::Crash);
     if (crashPlanned || cfg.crash.enabled) {
         crash_ = std::make_unique<CrashManager>(
             *machine_, *msg_, lookup(), kernels_.size(), cfg.osDesign,
@@ -149,26 +150,6 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
 }
 
 System::~System() = default;
-
-KernelInstance &
-System::kernelByIsa(IsaType isa)
-{
-    // Only well-defined when exactly one alive kernel runs the ISA;
-    // N-node topologies can run it on several nodes, and silently
-    // picking whichever was built first would hide the ambiguity.
-    KernelInstance *match = nullptr;
-    for (auto &k : kernels_) {
-        if (k->isa() != isa || !machine_->nodeAlive(k->nodeId()))
-            continue;
-        panic_if(match, "kernelByIsa(", isaName(isa),
-                 "): ambiguous — kernels on nodes ", match->nodeId(),
-                 " and ", k->nodeId(), " both run ", isaName(isa),
-                 "; address kernels by node id in N-node topologies");
-        match = k.get();
-    }
-    panic_if(!match, "no alive kernel with ISA ", isaName(isa));
-    return *match;
-}
 
 NodeId
 System::firstAliveFrom(NodeId from) const
@@ -233,36 +214,30 @@ System::exit(Pid pid)
         if (crash_->taskReaped(pid))
             return;
     }
-    // Frames borrowed from another kernel's allocator go home
-    // before the task records disappear.
-    std::vector<std::pair<NodeId, Addr>> borrowed;
-    for (auto &k : kernels_) {
-        if (Task *t = k->findTask(pid)) {
-            borrowed.insert(borrowed.end(), t->borrowedPages.begin(),
-                            t->borrowedPages.end());
-            t->borrowedPages.clear();
-        }
+    destroyTaskEverywhere(lookup(), kernels_.size(), pid,
+                          [](NodeId) { return true; });
+}
+
+bool
+System::migrationRefused(Pid pid, NodeId dest)
+{
+    if (!crash_)
+        return false;
+    crash_->guardTask(pid);
+    if (crash_->taskReaped(pid))
+        return true;
+    if (!machine_->nodeAlive(dest)) {
+        crash_->recovery().counter("migrations_refused_dead") += 1;
+        return true;
     }
-    for (auto &k : kernels_) {
-        if (k->hasTask(pid))
-            k->destroyTask(pid);
-    }
-    for (auto [home, pa] : borrowed)
-        kernel(home).freeUserPage(pa);
+    return false;
 }
 
 void
 System::migrate(Pid pid, NodeId dest)
 {
-    if (crash_) {
-        crash_->guardTask(pid);
-        if (crash_->taskReaped(pid))
-            return;
-        if (!machine_->nodeAlive(dest)) {
-            crash_->recovery().counter("migrations_refused_dead") += 1;
-            return;
-        }
-    }
+    if (migrationRefused(pid, dest))
+        return;
     NodeId src = whereIs(pid);
     // Span on the source track: covers state transform, the wire
     // transfer and the destination-side handler (which runs nested
@@ -275,15 +250,8 @@ System::migrate(Pid pid, NodeId dest)
 void
 System::migrateProcess(Pid pid, NodeId dest)
 {
-    if (crash_) {
-        crash_->guardTask(pid);
-        if (crash_->taskReaped(pid))
-            return;
-        if (!machine_->nodeAlive(dest)) {
-            crash_->recovery().counter("migrations_refused_dead") += 1;
-            return;
-        }
-    }
+    if (migrationRefused(pid, dest))
+        return;
     NodeId src = whereIs(pid);
     STRAMASH_TRACE_SPAN(machine_->tracer(), TraceCategory::Migrate,
                         "migrate.process", src, pid, src, dest);
@@ -326,9 +294,9 @@ System::whereIs(Pid pid) const
 }
 
 void
-System::resetExperimentCounters(bool flushCaches)
+System::resetExperimentCounters()
 {
-    machine_->resetTiming(flushCaches);
+    machine_->resetTiming();
     msg_->resetCounters();
     migrationPolicy_->resetCounters();
 }

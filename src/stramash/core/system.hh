@@ -57,7 +57,6 @@ struct SystemConfig
     GuardMode remoteGuard = GuardMode::Audit;
     /** Wire the fused global memory allocator (fused design only). */
     bool enableGlobalAllocator = true;
-    GmaConfig gma{};
     /** Cross-layer event tracing (off by default; zero-ish cost). */
     TraceConfig trace{};
     /** Fault-injection plan (stramash/fault). Absent = nothing is
@@ -91,7 +90,6 @@ class System
         return *kernels_[node];
     }
 
-    KernelInstance &kernelByIsa(IsaType isa);
     std::size_t nodeCount() const { return kernels_.size(); }
 
     // ---- process lifecycle ----
@@ -213,7 +211,7 @@ class System
     // ---- experiment bookkeeping ----
 
     /** Zero message/replication counters and node clocks. */
-    void resetExperimentCounters(bool flushCaches = true);
+    void resetExperimentCounters();
 
     std::uint64_t messagesSent() const { return msg_->messagesSent(); }
     std::uint64_t replicatedPages() const;
@@ -283,6 +281,11 @@ class System
     Pid nextPid_ = 100;
 
     KernelLookup lookup();
+
+    /** Crash guard shared by migrate and migrateProcess: settle a
+     *  pending crash of @p pid's kernel, then refuse the move when
+     *  the task was reaped or @p dest is dead. */
+    bool migrationRefused(Pid pid, NodeId dest);
 };
 
 } // namespace stramash

@@ -164,7 +164,7 @@ CrashManager::heartbeatExchange(NodeId observer, NodeId peer)
         // Miss so far: charge the detection timeout, then look again
         // — under a delay-injecting plan a slow ack can land during
         // the wait.
-        machine_.stall(observer, cfg_.ackTimeoutCycles);
+        machine_.stall(observer, CrashConfig::ackTimeoutCycles);
         msg_.dispatchPending(observer);
     }
     return ps.lastAckSeq >= seq;
@@ -187,7 +187,7 @@ CrashManager::pingRound(NodeId observer, NodeId peer, bool forced)
     recovery_.counter("heartbeat_misses") += 1;
     machine_.tracer().instant(TraceCategory::Chaos, "crash.suspect",
                               observer, 0, peer, ps.suspicion);
-    if (ps.suspicion >= cfg_.suspicionThreshold)
+    if (ps.suspicion >= CrashConfig::suspicionThreshold)
         tryDeclareDead(peer, observer);
     return false;
 }
@@ -326,11 +326,11 @@ void
 CrashManager::forceSuspicion(NodeId observer, NodeId peer)
 {
     panic_if(observer == peer, "a node cannot suspect itself");
-    det_[observer][peer].suspicion = cfg_.suspicionThreshold;
+    det_[observer][peer].suspicion = CrashConfig::suspicionThreshold;
     recovery_.counter("forced_suspicions") += 1;
     machine_.tracer().instant(TraceCategory::Chaos,
                               "crash.force_suspect", observer, 0, peer,
-                              cfg_.suspicionThreshold);
+                              CrashConfig::suspicionThreshold);
     tryDeclareDead(peer, observer);
 }
 
@@ -643,26 +643,11 @@ CrashManager::reapTask(Pid pid, NodeId dead)
 {
     exitStatus_[pid] = reapExitStatus;
 
-    // Route borrowed frames home (live homes only) before the
-    // records disappear, mirroring System::exit.
-    std::vector<std::pair<NodeId, Addr>> borrowed;
-    for (NodeId n = 0; n < nodeCount_; ++n) {
-        Task *t = kernels_(n).findTask(pid);
-        if (!t)
-            continue;
-        for (auto [home, pa] : t->borrowedPages) {
-            if (home != dead && machine_.nodeAlive(home))
-                borrowed.emplace_back(home, pa);
-        }
-        t->borrowedPages.clear();
-    }
-    for (NodeId n = 0; n < nodeCount_; ++n) {
-        KernelInstance &k = kernels_(n);
-        if (k.hasTask(pid))
-            k.destroyTask(pid);
-    }
-    for (auto [home, pa] : borrowed)
-        kernels_(home).freeUserPage(pa);
+    // The System::exit teardown, but only live homes take frames
+    // back.
+    destroyTaskEverywhere(kernels_, nodeCount_, pid, [&](NodeId home) {
+        return home != dead && machine_.nodeAlive(home);
+    });
 
     if (dsm_)
         dsm_->forgetTask(pid);
@@ -729,7 +714,7 @@ CrashManager::rejoin(NodeId node)
         if (machine_.nodeAlive(n))
             clock = std::max(clock, machine_.node(n).cycles());
     }
-    clock += cfg_.rebootCycles;
+    clock += CrashConfig::rebootCycles;
     machine_.reviveNode(node, clock);
     kernels_(node).resetForRejoin();
     dead_[node] = false;

@@ -96,11 +96,11 @@ struct CrashConfig
     /** Minimum cycles between heartbeat pings to one peer. */
     Cycles pingIntervalCycles = 250'000;
     /** Cycles the observer waits for an ack before counting a miss. */
-    Cycles ackTimeoutCycles = 60'000;
+    static constexpr Cycles ackTimeoutCycles = 60'000;
     /** Consecutive misses before the peer is declared dead. */
-    unsigned suspicionThreshold = 3;
+    static constexpr unsigned suspicionThreshold = 3;
     /** Boot time modelled for a rejoining node. */
-    Cycles rebootCycles = 2'000'000;
+    static constexpr Cycles rebootCycles = 2'000'000;
 };
 
 /**
@@ -219,7 +219,6 @@ class CrashManager
     void onLinkChange(NodeId from, NodeId to, LinkState s);
 
     StatGroup &recovery() { return recovery_; }
-    const CrashConfig &config() const { return cfg_; }
 
     /**
      * Subscribe to the end of recover(): after tasks, futexes, DSM

@@ -39,12 +39,13 @@ FaultInjector::FaultInjector(const FaultPlan &plan)
                  plan_.pageCorruptRate > 1 || plan_.linkLossRate < 0 ||
                  plan_.linkLossRate > 1,
              "fault rates must be probabilities in [0, 1]");
-    for (const LinkEvent &ev : plan_.linkSchedule) {
-        panic_if(ev.from == ev.to || ev.from == invalidNode ||
-                     ev.to == invalidNode,
+    for (const ScheduledFault &f : plan_.schedule) {
+        panic_if(f.kind == ScheduledFault::Kind::Link &&
+                     (f.from == f.to || f.from == invalidNode ||
+                      f.to == invalidNode),
                  "link schedule: a link joins two distinct nodes");
     }
-    linkFired_.assign(plan_.linkSchedule.size(), false);
+    fired_.assign(plan_.schedule.size(), false);
     rngs_.reserve(siteCount);
     for (unsigned s = 0; s < siteCount; ++s)
         rngs_.emplace_back(plan_.seed, s);
@@ -103,7 +104,7 @@ FaultInjector::messageDelayCycles(NodeId from, NodeId to)
               from, to)) {
         return 0;
     }
-    return plan_.msgDelayCycles;
+    return FaultPlan::msgDelayCycles;
 }
 
 bool
@@ -129,48 +130,44 @@ FaultInjector::shouldDropOnLossyLink(NodeId from, NodeId to)
                 from, to);
 }
 
-const LinkEvent *
-FaultInjector::pollLinkEvent(
-    const std::function<Cycles(NodeId)> &endpointClock)
+const ScheduledFault *
+FaultInjector::pollSchedule(NodeId nid,
+                            const std::function<Cycles(NodeId)> &clock)
 {
-    if (!linkEventsArmed())
+    if (!scheduleArmed())
         return nullptr;
-    for (std::size_t i = 0; i < plan_.linkSchedule.size(); ++i) {
-        if (linkFired_[i])
-            continue;
-        const LinkEvent &ev = plan_.linkSchedule[i];
-        Cycles now = std::max(endpointClock(ev.from),
-                              endpointClock(ev.to));
-        if (now < ev.atCycle)
-            continue;
-        // Scheduled, permanent-until-healed: bypasses maxFaults like
-        // the crash site (but still counts toward injected()).
-        linkFired_[i] = true;
-        ++linkEventsFired_;
-        ++injected_;
-        faults_.counter("injected") += 1;
-        faults_.counter("link_event") += 1;
-        return &ev;
+    // Two passes keep a due crash ahead of every link transition.
+    for (auto kind : {ScheduledFault::Kind::Crash,
+                      ScheduledFault::Kind::Link}) {
+        for (std::size_t i = 0; i < plan_.schedule.size(); ++i) {
+            const ScheduledFault &f = plan_.schedule[i];
+            if (fired_[i] || f.kind != kind)
+                continue;
+            bool crash = kind == ScheduledFault::Kind::Crash;
+            if (crash && f.from != nid)
+                continue;
+            Cycles now = crash ? clock(nid)
+                               : std::max(clock(f.from), clock(f.to));
+            if (now < f.atCycle)
+                continue;
+            fired_[i] = true;
+            ++scheduleFired_;
+            ++injected_;
+            faults_.counter("injected") += 1;
+            if (!crash) {
+                faults_.counter("link_event") += 1;
+            } else {
+                faults_.counter("crash.node_killed") += 1;
+                if (tracer_) {
+                    tracer_->instant(TraceCategory::Chaos,
+                                     "crash.node_killed", nid, 0, nid,
+                                     now);
+                }
+            }
+            return &f;
+        }
     }
     return nullptr;
-}
-
-bool
-FaultInjector::shouldCrashNode(NodeId nid, Cycles now)
-{
-    if (!crashArmed() || nid != plan_.crashNode ||
-        now < plan_.crashAtCycle) {
-        return false;
-    }
-    crashFired_ = true;
-    ++injected_;
-    faults_.counter("injected") += 1;
-    faults_.counter("crash.node_killed") += 1;
-    if (tracer_) {
-        tracer_->instant(TraceCategory::Chaos, "crash.node_killed",
-                         nid, 0, nid, now);
-    }
-    return true;
 }
 
 void

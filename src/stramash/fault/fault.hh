@@ -23,6 +23,8 @@
  *    state after the budget is exhausted.
  *  - A site with rate 0 never draws, so enabling one site leaves the
  *    others' streams untouched.
+ *  - Scheduled faults (crashes, link transitions) draw nothing: each
+ *    fires once, when its deadline passes.
  *
  * When no plan is attached, the hot paths see a null FaultInjector
  * pointer: one predictable branch, nothing else.
@@ -62,14 +64,24 @@ enum class LinkState : std::uint8_t {
     Delayed,
 };
 
-/** One scheduled link transition, fired like crashAtCycle. */
-struct LinkEvent
+/**
+ * One scheduled fault: a crash-stop of node `from`, or the directed
+ * link `from` -> `to` entering `state`. Unlike the transient sites it
+ * fires exactly once, at a chosen simulated cycle, and is not subject
+ * to maxFaults (a crash is permanent, a link stays as set).
+ */
+struct ScheduledFault
 {
+    enum class Kind : std::uint8_t { Crash, Link };
+    Kind kind = Kind::Link;
     NodeId from = invalidNode;
+    /** Link only. */
     NodeId to = invalidNode;
+    /** Link only. */
     LinkState state = LinkState::Up;
-    /** Fires when max(clock(from), clock(to)) reaches this — the max
-     *  so a heal scheduled against a fenced (frozen-clock) endpoint
+    /** A crash fires when its node's own clock reaches this; a link
+     *  transition when max(clock(from), clock(to)) does — the max so
+     *  a heal scheduled against a fenced (frozen-clock) endpoint
      *  still fires off the survivor's clock. */
     Cycles atCycle = 0;
 };
@@ -90,7 +102,7 @@ struct FaultPlan
     /** Probability delivery is delayed by msgDelayCycles. */
     double msgDelayRate = 0.0;
     /** Receiver-side delivery delay for delayed messages. */
-    Cycles msgDelayCycles = 50000;
+    static constexpr Cycles msgDelayCycles = 50000;
 
     // ---- platform sites ----
     /** Probability a cross-ISA IPI is lost in delivery. */
@@ -105,33 +117,26 @@ struct FaultPlan
      *  bounded budget makes the plan transient by construction. */
     std::uint64_t maxFaults = UINT64_MAX;
 
-    // ---- crash-stop site ----
-    /** Kill this kernel node outright (invalidNode = never). Unlike
-     *  the transient sites above this is a *scheduled* fault: it
-     *  fires exactly once, at a chosen simulated cycle, and is not
-     *  subject to maxFaults (a crash is not transient). */
-    NodeId crashNode = invalidNode;
-    /** Node clock reading at (or after) which the crash fires. */
-    Cycles crashAtCycle = 0;
-
     // ---- link-fault sites ----
-    /** Scheduled link transitions, fired in order like crashAtCycle.
-     *  Like the crash site these are *scheduled* faults: exempt from
-     *  maxFaults and excluded from any(). */
-    std::vector<LinkEvent> linkSchedule;
     /** Per-message drop probability while a link is Lossy (its own
      *  PCG32 stream, SiteLinkLoss). */
     double linkLossRate = 0.25;
     /** Park time for messages crossing a Delayed link; chosen above
      *  RpcPolicy::responseTimeoutCycles so a sustained delay looks
      *  exactly like death to the retry machinery. */
-    Cycles linkDelayCycles = 300000;
+    static constexpr Cycles linkDelayCycles = 300000;
 
-    /** Schedule one directed link transition. */
+    // ---- scheduled faults ----
+    /** Crashes and link transitions, built with the builders below. */
+    std::vector<ScheduledFault> schedule;
+
+    /** Crash-stop @p node once its clock reaches @p at. */
     FaultPlan &
-    linkEventAt(NodeId from, NodeId to, LinkState s, Cycles at)
+    crashAt(NodeId node, Cycles at)
     {
-        linkSchedule.push_back(LinkEvent{from, to, s, at});
+        schedule.push_back(
+            {ScheduledFault::Kind::Crash, node, invalidNode,
+             LinkState::Up, at});
         return *this;
     }
 
@@ -139,32 +144,25 @@ struct FaultPlan
     FaultPlan &
     severLinkAt(NodeId a, NodeId b, Cycles at)
     {
-        linkEventAt(a, b, LinkState::Severed, at);
-        return linkEventAt(b, a, LinkState::Severed, at);
+        return linkBothWaysAt(a, b, LinkState::Severed, at);
     }
 
     /** Restore both directions of a<->b at @p at. */
     FaultPlan &
     healLinkAt(NodeId a, NodeId b, Cycles at)
     {
-        linkEventAt(a, b, LinkState::Up, at);
-        return linkEventAt(b, a, LinkState::Up, at);
+        return linkBothWaysAt(a, b, LinkState::Up, at);
     }
 
-    /** True when the plan schedules any link transition. */
-    bool linkFaultsPlanned() const { return !linkSchedule.empty(); }
-
-    /** True when the plan schedules a crash-stop failure. */
-    bool crashPlanned() const { return crashNode != invalidNode; }
-
-    /** True when any site can fire. */
+    /** True when the schedule holds an entry of @p kind. */
     bool
-    any() const
+    schedules(ScheduledFault::Kind kind) const
     {
-        return msgDropRate > 0 || msgDupRate > 0 ||
-               msgCorruptRate > 0 || msgDelayRate > 0 ||
-               ipiDropRate > 0 || memBlockDenyRate > 0 ||
-               pageCorruptRate > 0;
+        for (const ScheduledFault &f : schedule) {
+            if (f.kind == kind)
+                return true;
+        }
+        return false;
     }
 
     /** Every site active at @p rate, with a fault budget — the chaos
@@ -172,6 +170,15 @@ struct FaultPlan
     static FaultPlan transientChaos(std::uint64_t seed,
                                     double rate = 0.05,
                                     std::uint64_t budget = 48);
+
+  private:
+    FaultPlan &
+    linkBothWaysAt(NodeId a, NodeId b, LinkState s, Cycles at)
+    {
+        schedule.push_back({ScheduledFault::Kind::Link, a, b, s, at});
+        schedule.push_back({ScheduledFault::Kind::Link, b, a, s, at});
+        return *this;
+    }
 };
 
 /**
@@ -209,40 +216,25 @@ class FaultInjector
     /** Lossy-link site: drop this message crossing a Lossy link? */
     bool shouldDropOnLossyLink(NodeId from, NodeId to);
 
-    /**
-     * Crash-stop site. The machine polls this after every clock
-     * advance of @p nid; it fires exactly once, when the scheduled
-     * node's clock reaches the scheduled cycle. Bypasses the
-     * maxFaults budget — a crash is permanent, not transient.
-     */
-    bool shouldCrashNode(NodeId nid, Cycles now);
-
-    /** True while a scheduled crash has not fired yet — lets the
+    /** True while scheduled faults remain unfired — lets the
      *  machine's per-access poll stay one predictable branch. */
     bool
-    crashArmed() const
+    scheduleArmed() const
     {
-        return plan_.crashPlanned() && !crashFired_;
-    }
-
-    /** True while scheduled link transitions remain unfired. */
-    bool
-    linkEventsArmed() const
-    {
-        return linkEventsFired_ < plan_.linkSchedule.size();
+        return scheduleFired_ < plan_.schedule.size();
     }
 
     /**
-     * Scheduled link site. @return the next unfired schedule entry
-     * whose deadline has passed per @p endpointClock (called with the
-     * event's from and to; the event fires off the *max* of the two,
-     * so a heal scheduled against a frozen-clock endpoint still
-     * fires), or nullptr when none is due. Marks the entry fired and
-     * counts it; the caller (Machine) applies the state change.
-     * Bypasses maxFaults exactly like the crash site.
+     * Scheduled-fault site, polled by the machine after every clock
+     * advance of @p nid. @return the next unfired entry that is due,
+     * or nullptr: first a crash of @p nid whose deadline @p clock(nid)
+     * has reached, then a link transition whose deadline the later of
+     * its endpoint clocks has reached, whichever node polls. Marks the
+     * entry fired and counts it (exempt from maxFaults, but counted
+     * in injected()); the caller (Machine) applies it.
      */
-    const LinkEvent *
-    pollLinkEvent(const std::function<Cycles(NodeId)> &endpointClock);
+    const ScheduledFault *
+    pollSchedule(NodeId nid, const std::function<Cycles(NodeId)> &clock);
 
     /**
      * Deterministically damage a message: flip one payload byte, or
@@ -286,10 +278,9 @@ class FaultInjector
     FaultPlan plan_;
     std::vector<Rng> rngs_;
     std::uint64_t injected_ = 0;
-    bool crashFired_ = false;
-    /** Per-entry fired flags for the link schedule. */
-    std::vector<bool> linkFired_;
-    std::size_t linkEventsFired_ = 0;
+    /** Per-entry fired flags for the schedule. */
+    std::vector<bool> fired_;
+    std::size_t scheduleFired_ = 0;
     StatGroup faults_;
     StatGroup retries_;
     StatGroup partition_;

@@ -11,6 +11,11 @@ constexpr std::uint64_t blockGranted = 0;
 constexpr std::uint64_t blockDenied = 1;
 constexpr std::uint64_t blockNoMemory = 2;
 
+/** Instructions of per-page isolation work (offline pass). */
+constexpr ICount kOfflinePerPageInst = 160;
+/** Instructions of per-page metadata init (online pass). */
+constexpr ICount kOnlinePerPageInst = 60;
+
 } // namespace
 
 GlobalMemoryAllocator::GlobalMemoryAllocator(
@@ -121,7 +126,7 @@ GlobalMemoryAllocator::onlineBlock(KernelInstance &kernel,
                         "gma.online", kernel.nodeId(), 0, block.start,
                         block.end - block.start);
     for (Addr pa = block.start; pa < block.end; pa += pageSize)
-        chargePagePass(kernel, pa, true, cfg_.onlinePerPageInst);
+        chargePagePass(kernel, pa, true, kOnlinePerPageInst);
     kernel.palloc().addRange(block);
     it->second.second = kernel.nodeId();
     stats_.counter("blocks_onlined") += 1;
@@ -179,7 +184,7 @@ GlobalMemoryAllocator::offlineBlock(KernelInstance &kernel,
 
     // Isolation pass over every page in the block.
     for (Addr pa = block.start; pa < block.end; pa += pageSize)
-        chargePagePass(kernel, pa, false, cfg_.offlinePerPageInst);
+        chargePagePass(kernel, pa, false, kOfflinePerPageInst);
 
     bool ok = kernel.palloc().removeRange(block);
     panic_if(!ok, "offline failed after evacuation");
@@ -301,14 +306,13 @@ GlobalMemoryAllocator::onLowMemory(KernelInstance &kernel)
     // Negotiation over messages: transient refusals and lost
     // messages are retried with exponential backoff before the
     // kernel degrades to local memory only.
-    const RpcPolicy &pol = msg_.rpcPolicy();
     unsigned attempts =
-        machine_.faultInjector() ? pol.maxAttempts : 1;
+        machine_.faultInjector() ? RpcPolicy::maxAttempts : 1;
     for (unsigned attempt = 1; attempt <= attempts; ++attempt) {
         if (attempt > 1) {
             stats_.counter("negotiation_retries") += 1;
             machine_.stall(kernel.nodeId(),
-                           pol.backoffForAttempt(attempt - 1));
+                           RpcPolicy::backoffForAttempt(attempt - 1));
         }
         Result<AddrRange> got = requestBlockFrom(kernel, *donor);
         if (got.ok()) {

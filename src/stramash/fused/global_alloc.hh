@@ -31,11 +31,6 @@ namespace stramash
 struct GmaConfig
 {
     Addr blockSize = 256 * 1024 * 1024;
-    double pressureThreshold = 0.70;
-    /** Instructions of per-page isolation work (offline pass). */
-    ICount offlinePerPageInst = 160;
-    /** Instructions of per-page metadata init (online pass). */
-    ICount onlinePerPageInst = 60;
 };
 
 /** Remap callback for evacuation: (old frame, new frame). */

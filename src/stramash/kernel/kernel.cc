@@ -367,4 +367,28 @@ KernelInstance::pump(const Message &msg)
     it->second(msg);
 }
 
+void
+destroyTaskEverywhere(const std::function<KernelInstance &(NodeId)> &kernel,
+                      std::size_t nodes, Pid pid,
+                      const std::function<bool(NodeId)> &takesFrames)
+{
+    std::vector<std::pair<NodeId, Addr>> borrowed;
+    for (NodeId n = 0; n < nodes; ++n) {
+        Task *t = kernel(n).findTask(pid);
+        if (!t)
+            continue;
+        for (auto [home, pa] : t->borrowedPages) {
+            if (takesFrames(home))
+                borrowed.emplace_back(home, pa);
+        }
+        t->borrowedPages.clear();
+    }
+    for (NodeId n = 0; n < nodes; ++n) {
+        if (kernel(n).hasTask(pid))
+            kernel(n).destroyTask(pid);
+    }
+    for (auto [home, pa] : borrowed)
+        kernel(home).freeUserPage(pa);
+}
+
 } // namespace stramash

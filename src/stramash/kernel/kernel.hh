@@ -262,6 +262,17 @@ class KernelInstance
     static constexpr Addr dataBumpBytes = 8 * 1024 * 1024;
 };
 
+/**
+ * Tear @p pid down on kernels 0..@p nodes-1: destroy every task
+ * record it has and free the frames it borrowed from other kernels'
+ * allocators to their homes, skipping homes @p takesFrames rejects.
+ * The borrowed frames are collected before any record goes.
+ */
+void destroyTaskEverywhere(
+    const std::function<KernelInstance &(NodeId)> &kernel,
+    std::size_t nodes, Pid pid,
+    const std::function<bool(NodeId)> &takesFrames);
+
 } // namespace stramash
 
 #endif // STRAMASH_KERNEL_KERNEL_HH

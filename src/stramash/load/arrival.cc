@@ -5,6 +5,18 @@
 namespace stramash
 {
 
+namespace
+{
+
+/** OnOff: rate multiplier of an "on" phase. */
+constexpr double kBurstMultiplier = 4.0;
+/** OnOff: rate multiplier of an "off" phase. */
+constexpr double kIdleMultiplier = 0.25;
+/** OnOff: mean phase length in cycles (exponential). */
+constexpr double kMeanPhaseCycles = 250000.0;
+
+} // namespace
+
 ArrivalConfig
 ArrivalConfig::poisson(double ratePerMcycle, std::uint64_t seed)
 {
@@ -30,12 +42,6 @@ ArrivalProcess::ArrivalProcess(ArrivalConfig cfg)
 {
     panic_if(cfg_.ratePerMcycle <= 0.0,
              "arrival process needs a positive rate");
-    panic_if(cfg_.kind == ArrivalConfig::Kind::OnOff &&
-                 (cfg_.burstMultiplier <= 0.0 ||
-                  cfg_.idleMultiplier <= 0.0 ||
-                  cfg_.meanPhaseCycles <= 0.0),
-             "on/off arrival process needs positive multipliers "
-             "and phase length");
 }
 
 double
@@ -61,10 +67,10 @@ ArrivalProcess::next()
         // the next phase's rate (memorylessness makes this exact).
         gap = 0.0;
         for (;;) {
-            double rate = baseRate * (onPhase_ ? cfg_.burstMultiplier
-                                               : cfg_.idleMultiplier);
+            double rate =
+                baseRate * (onPhase_ ? kBurstMultiplier : kIdleMultiplier);
             if (phaseLeftCycles_ <= 0.0)
-                phaseLeftCycles_ = expGap(1.0 / cfg_.meanPhaseCycles);
+                phaseLeftCycles_ = expGap(1.0 / kMeanPhaseCycles);
             double g = expGap(rate);
             if (g <= phaseLeftCycles_) {
                 phaseLeftCycles_ -= g;

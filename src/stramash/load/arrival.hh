@@ -15,10 +15,10 @@
  *  - Poisson: exponential inter-arrival gaps (memoryless, the
  *    classic open-loop reference).
  *  - OnOff: a two-state modulated Poisson process (bursty traces) —
- *    an "on" phase offers burstMultiplier times the mean rate, an
- *    "off" phase idleMultiplier times, with exponentially
- *    distributed phase lengths. Mean rate is preserved when the
- *    multipliers average to 1 across phases.
+ *    an "on" phase offers four times the configured rate, an "off"
+ *    phase a quarter of it, with exponentially distributed phase
+ *    lengths (mean 250 kcycles each), so the long-run rate is about
+ *    2.1 times the configured one.
  *
  * Both draw from seeded PCG32 streams (common/rng.hh), so identical
  * seeds give bit-identical arrival timelines on every host.
@@ -43,15 +43,9 @@ struct ArrivalConfig
 
     Kind kind = Kind::Poisson;
 
-    /** Mean arrival rate in requests per simulated megacycle. */
+    /** Mean arrival rate in requests per simulated megacycle (the
+     *  base rate the OnOff phases multiply). */
     double ratePerMcycle = 100.0;
-
-    /** On-phase rate multiplier (OnOff only). */
-    double burstMultiplier = 4.0;
-    /** Off-phase rate multiplier (OnOff only). */
-    double idleMultiplier = 0.25;
-    /** Mean phase length in cycles (exponential, OnOff only). */
-    double meanPhaseCycles = 250000.0;
 
     /** Stream seed; identical seeds replay identical timelines. */
     std::uint64_t seed = 1;

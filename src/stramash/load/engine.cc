@@ -3,11 +3,17 @@
 namespace stramash
 {
 
+namespace
+{
+
+/** Fraction of offered requests that are Sets. */
+constexpr double kSetFraction = 0.10;
+
+} // namespace
+
 OpenLoopEngine::OpenLoopEngine(OpenLoopConfig cfg) : cfg_(cfg)
 {
     panic_if(cfg_.requests == 0, "open-loop run with no requests");
-    panic_if(cfg_.setFraction < 0.0 || cfg_.setFraction > 1.0,
-             "setFraction must be in [0, 1]");
 }
 
 OpenLoopReport
@@ -25,8 +31,7 @@ OpenLoopEngine::run(KvFrontEnd &fe)
     for (std::size_t i = 0; i < cfg_.requests; ++i) {
         t += arrivals.next();
         std::uint64_t key = keys.next();
-        KvOp op = mix.uniform() < cfg_.setFraction ? KvOp::Set
-                                                   : KvOp::Get;
+        KvOp op = mix.uniform() < kSetFraction ? KvOp::Set : KvOp::Get;
         auto ingress = static_cast<NodeId>(mix.below64(n));
         fe.inject(t, op, key, ingress);
     }

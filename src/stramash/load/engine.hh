@@ -31,8 +31,6 @@ struct OpenLoopConfig
     KeyDistConfig keys;
     /** Requests to offer (accepted + shed). */
     std::size_t requests = 2000;
-    /** Fraction of offered requests that are Sets. */
-    double setFraction = 0.10;
     /** Seed for the op-mix / ingress-choice stream (independent of
      *  the arrival and key streams). */
     std::uint64_t seed = 1;

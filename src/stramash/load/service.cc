@@ -10,6 +10,13 @@ namespace stramash
 namespace
 {
 
+/** Per-dispatch fixed overhead (wakeup, drain, re-arm). */
+constexpr Cycles kBatchDispatchCycles = 4000;
+/** Per-arrival admission test (occupancy check at the socket). */
+constexpr Cycles kAdmissionCycles = 200;
+/** Hot-key cache lookup/maintenance cost. */
+constexpr Cycles kCacheLookupCycles = 300;
+
 /** Latency buckets: powers of two, 1 Kcycle .. 128 Mcycles. */
 std::vector<std::uint64_t>
 latencyEdges()
@@ -106,7 +113,7 @@ KvFrontEnd::inject(Cycles arrival, KvOp op, std::uint64_t key,
     pump(ingress, arrival);
 
     Machine &machine = sys_.machine();
-    machine.stall(ingress, cfg_.admissionCycles);
+    machine.stall(ingress, kAdmissionCycles);
     std::deque<PendingRequest> &q = queues_[ingress];
     queueDepthHist_.sample(q.size());
     if (q.size() >= cfg_.queueCapacity) {
@@ -155,7 +162,7 @@ KvFrontEnd::serveBatch(NodeId node)
     Cycles start = std::max(clock, q.front().arrival);
     if (start > clock)
         machine.stall(node, start - clock);
-    machine.stall(node, cfg_.batchDispatchCycles);
+    machine.stall(node, kBatchDispatchCycles);
 
     // Drain up to batchSize requests that had arrived by wakeup;
     // the fixed dispatch overhead amortises across all of them.
@@ -237,7 +244,7 @@ bool
 KvFrontEnd::tryCachedGet(NodeId ingress, std::uint64_t key)
 {
     Machine &machine = sys_.machine();
-    machine.stall(ingress, cfg_.cacheLookupCycles);
+    machine.stall(ingress, kCacheLookupCycles);
     NodeCache &c = caches_[ingress];
     auto it = c.map.find(key);
     if (it == c.map.end()) {
@@ -282,7 +289,7 @@ void
 KvFrontEnd::refill(NodeId ingress, std::uint64_t key)
 {
     Machine &machine = sys_.machine();
-    machine.stall(ingress, cfg_.cacheLookupCycles);
+    machine.stall(ingress, kCacheLookupCycles);
     chargeLocalPayload(ingress, AccessType::Store);
 
     NodeCache &c = caches_[ingress];
@@ -359,7 +366,7 @@ void
 KvFrontEnd::chargeLocalPayload(NodeId node, AccessType type)
 {
     Machine &machine = sys_.machine();
-    std::size_t bytes = store_.payloadBytes();
+    std::size_t bytes = ShardedKvStore::payloadBytes;
     for (std::size_t off = 0; off < bytes; off += cacheLineSize) {
         machine.dataAccess(
             node, type,

@@ -53,12 +53,6 @@ struct ServiceConfig
     std::size_t batchSize = 8;
     /** Per-node ingress queue bound; arrivals beyond it are shed. */
     std::size_t queueCapacity = 64;
-    /** Per-dispatch fixed overhead (wakeup, drain, re-arm). */
-    Cycles batchDispatchCycles = 4000;
-    /** Per-arrival admission test (occupancy check at the socket). */
-    Cycles admissionCycles = 200;
-    /** Hot-key cache lookup/maintenance cost. */
-    Cycles cacheLookupCycles = 300;
     /** Enable the per-node hot-key read cache. */
     bool hotKeyCache = false;
     /** Cached entries per node (LRU beyond that). */

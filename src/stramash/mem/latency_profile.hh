@@ -66,7 +66,7 @@ struct SnoopCosts
     /** Read hits a line another node holds dirty: Snoop Data. */
     Cycles snoopData = 100;
     /** Pool-device-initiated Back-Invalidate Snoop. */
-    Cycles backInvalidate = 140;
+    static constexpr Cycles backInvalidate = 140;
 };
 
 } // namespace stramash

@@ -48,9 +48,9 @@ PhysMap::generate(const TopologySpec &spec)
 }
 
 PhysMap
-PhysMap::paperDefault(MemoryModel model, NodeId x86Node, NodeId armNode)
+PhysMap::paperDefault(MemoryModel model)
 {
-    return generate(TopologySpec::paperPair(model, x86Node, armNode));
+    return generate(TopologySpec::paperPair(model));
 }
 
 PhysMap::PhysMap(MemoryModel model, std::vector<PhysRegion> regions)

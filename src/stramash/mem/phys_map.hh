@@ -60,13 +60,11 @@ class PhysMap
     static PhysMap generate(const TopologySpec &spec);
 
     /**
-     * Build the paper's default 8 GiB layout for a given model.
-     * Delegates to generate() on the paper-pair spec.
-     * @param model  hardware memory model
-     * @param x86Node node id of the x86 instance (Arm is the other)
+     * Build the paper's default 8 GiB layout for a given model (x86
+     * node 0, Arm node 1). Delegates to generate() on the paper-pair
+     * spec.
      */
-    static PhysMap paperDefault(MemoryModel model, NodeId x86Node = 0,
-                                NodeId armNode = 1);
+    static PhysMap paperDefault(MemoryModel model);
 
     /** Build from an explicit region list. */
     PhysMap(MemoryModel model, std::vector<PhysRegion> regions);

@@ -27,10 +27,6 @@ TopologySpec::validate() const
         panic_if(n.numCores == 0, "topology: node ", n.id,
                  " has no cores");
     }
-    panic_if(bootStripBytes == 0 || bootStripBytes % pageSize != 0,
-             "topology: boot strip must be a positive page multiple");
-    panic_if(mmioHoleBytes % pageSize != 0,
-             "topology: MMIO hole must be page-aligned");
     if (memoryModel == MemoryModel::Shared) {
         panic_if(poolBytes == 0,
                  "topology: the Shared model needs a non-empty pool");
@@ -44,43 +40,38 @@ TopologySpec::validate() const
 }
 
 TopologySpec
-TopologySpec::paperPair(MemoryModel model, NodeId x86Node,
-                        NodeId armNode)
+TopologySpec::paperPair(MemoryModel model)
 {
     TopologySpec spec;
     spec.memoryModel = model;
     // Figure-4 sizing: 1.5 GiB boot strips; under Separated and
     // FullyShared the high 4 GiB is split 2+2, under Shared it is the
     // pool.
-    const Addr boot = 1_GiB + 512_MiB;
     const bool pooled = model == MemoryModel::Shared;
-    const Addr dram = pooled ? boot : boot + 2_GiB;
+    const Addr dram = pooled ? bootStripBytes : bootStripBytes + 2_GiB;
     spec.poolBytes = pooled ? 4_GiB : 0;
     spec.nodes = {
-        {x86Node, IsaType::X86_64, CoreModel::XeonGold, 1, dram},
-        {armNode, IsaType::AArch64, CoreModel::ThunderX2, 1, dram},
+        {0, IsaType::X86_64, CoreModel::XeonGold, 1, dram},
+        {1, IsaType::AArch64, CoreModel::ThunderX2, 1, dram},
     };
     return spec;
 }
 
 TopologySpec
-TopologySpec::alternating(std::size_t n, MemoryModel model,
-                          Addr dramPerNode, Addr poolBytes)
+TopologySpec::alternating(std::size_t n, MemoryModel model)
 {
     panic_if(n == 0, "topology: zero nodes");
     TopologySpec spec;
     spec.memoryModel = model;
-    if (dramPerNode == 0)
-        dramPerNode = 1_GiB + 512_MiB;
     if (model == MemoryModel::Shared)
-        spec.poolBytes = poolBytes ? poolBytes : 4_GiB;
+        spec.poolBytes = 4_GiB;
     for (std::size_t i = 0; i < n; ++i) {
         bool x86 = (i % 2) == 0;
         spec.nodes.push_back({static_cast<NodeId>(i),
                               x86 ? IsaType::X86_64 : IsaType::AArch64,
                               x86 ? CoreModel::XeonGold
                                   : CoreModel::ThunderX2,
-                              1, dramPerNode});
+                              1, bootStripBytes});
     }
     return spec;
 }

@@ -56,10 +56,10 @@ struct TopologySpec
     /** Per-node boot-local strip laid out consecutively from address
      *  0 (paper Fig. 4: 1.5 GiB per node). A node with less DRAM than
      *  this gets everything as its boot strip. */
-    Addr bootStripBytes = (Addr{3} << 30) / 2;
+    static constexpr Addr bootStripBytes = (Addr{3} << 30) / 2;
     /** MMIO hole placed directly after the boot strips (paper:
      *  [3 GiB, 4 GiB) on the two-node machine). */
-    Addr mmioHoleBytes = Addr{1} << 30;
+    static constexpr Addr mmioHoleBytes = Addr{1} << 30;
 
     std::size_t nodeCount() const { return nodes.size(); }
 
@@ -72,24 +72,21 @@ struct TopologySpec
     void validate() const;
 
     /**
-     * The paper's evaluation pair: x86 Xeon Gold + Arm ThunderX2,
-     * Figure-4 8 GiB layout. Under Separated/FullyShared each node
-     * owns 3.5 GiB (1.5 boot + 2 high); under Shared each owns its
-     * 1.5 GiB boot strip and the high 4 GiB is the pool.
+     * The paper's evaluation pair: x86 Xeon Gold node 0 + Arm
+     * ThunderX2 node 1, Figure-4 8 GiB layout. Under
+     * Separated/FullyShared each node owns 3.5 GiB (1.5 boot + 2
+     * high); under Shared each owns its 1.5 GiB boot strip and the
+     * high 4 GiB is the pool.
      */
-    static TopologySpec paperPair(MemoryModel model, NodeId x86Node = 0,
-                                  NodeId armNode = 1);
+    static TopologySpec paperPair(MemoryModel model);
 
     /**
      * An N-node machine alternating x86 (Xeon Gold) and Arm
      * (ThunderX2) nodes: node 0 is x86, node 1 Arm, node 2 x86...
-     * Each node gets @p dramPerNode local DRAM (default: the paper
-     * boot strip, 1.5 GiB); under the Shared model the pool holds
-     * @p poolBytes (default 4 GiB).
+     * Each node gets the paper boot strip, 1.5 GiB, as its local
+     * DRAM; under the Shared model the pool holds 4 GiB.
      */
-    static TopologySpec alternating(std::size_t n, MemoryModel model,
-                                    Addr dramPerNode = 0,
-                                    Addr poolBytes = 0);
+    static TopologySpec alternating(std::size_t n, MemoryModel model);
 };
 
 } // namespace stramash

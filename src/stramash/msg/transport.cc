@@ -121,7 +121,7 @@ MessageLayer::send(const Message &msg)
                     m.seq, m.to);
                 parked_[m.to].push_back(
                     {machine_.node(m.to).cycles() +
-                         fi->plan().linkDelayCycles,
+                         FaultPlan::linkDelayCycles,
                      m});
                 return Errc::Ok;
             }
@@ -346,11 +346,11 @@ MessageLayer::tryRpc(const Message &req, MsgType respType)
     pendingRpcs_.emplace(r.rpcId, std::nullopt);
 
     std::optional<Message> resp;
-    for (unsigned attempt = 1; attempt <= policy_.maxAttempts;
+    for (unsigned attempt = 1; attempt <= RpcPolicy::maxAttempts;
          ++attempt) {
         if (attempt > 1) {
             fi->retries().counter("attempts") += 1;
-            Cycles backoff = policy_.backoffForAttempt(attempt - 1);
+            Cycles backoff = RpcPolicy::backoffForAttempt(attempt - 1);
             machine_.stall(r.from, backoff);
             machine_.tracer().instant(TraceCategory::Chaos,
                                       "rpc.retry", r.from, 0, r.rpcId,
@@ -381,7 +381,7 @@ MessageLayer::tryRpc(const Message &req, MsgType respType)
         // Nothing matched: charge the simulated-cycle deadline and
         // go around for another attempt.
         fi->retries().counter("timeouts") += 1;
-        machine_.stall(r.from, policy_.responseTimeoutCycles);
+        machine_.stall(r.from, RpcPolicy::responseTimeoutCycles);
         machine_.tracer().instant(TraceCategory::Chaos, "rpc.timeout",
                                   r.from, 0, r.rpcId, attempt);
     }
@@ -418,14 +418,14 @@ MessageLayer::resetCounters()
 // ===================== ShmMessageLayer ===============================
 
 ShmMessageLayer::ShmMessageLayer(Machine &machine, Addr areaBase,
-                                 Addr areaBytes, bool useIpi)
+                                 bool useIpi)
     : MessageLayer(machine), useIpi_(useIpi),
       nodes_(machine.nodeCount()), rings_(nodes_ * nodes_)
 {
     // One ring per ordered node pair, splitting the area evenly.
     std::size_t pairs = nodes_ * (nodes_ - 1);
     panic_if(pairs == 0, "SHM messaging needs >= 2 nodes");
-    Addr perRing = areaBytes / pairs;
+    Addr perRing = paperAreaBytes / pairs;
     Addr base = areaBase;
     for (NodeId f = 0; f < nodes_; ++f) {
         for (NodeId t = 0; t < nodes_; ++t) {
@@ -439,13 +439,13 @@ ShmMessageLayer::ShmMessageLayer(Machine &machine, Addr areaBase,
 }
 
 Addr
-ShmMessageLayer::areaBaseFor(const PhysMap &map, Addr areaBytes)
+ShmMessageLayer::areaBaseFor(const PhysMap &map)
 {
     if (map.model() == MemoryModel::Shared) {
         auto pools = map.poolRanges();
         panic_if(pools.empty() ||
-                     pools.front().size() < areaBytes,
-                 "messaging area (", areaBytes,
+                     pools.front().size() < paperAreaBytes,
+                 "messaging area (", paperAreaBytes,
                  " bytes) does not fit the shared pool");
         return pools.front().start;
     }
@@ -455,9 +455,9 @@ ShmMessageLayer::areaBaseFor(const PhysMap &map, Addr areaBytes)
     panic_if(boots.empty(),
              "node 0 has no DRAM to host the messaging area");
     AddrRange strip = boots.front();
-    panic_if(strip.size() <= areaBytes, "messaging area (", areaBytes,
-             " bytes) does not fit node 0's boot strip");
-    return std::min(strip.start + 1_GiB, strip.end - areaBytes);
+    panic_if(strip.size() <= paperAreaBytes, "messaging area (",
+             paperAreaBytes, " bytes) does not fit node 0's boot strip");
+    return std::min(strip.start + 1_GiB, strip.end - paperAreaBytes);
 }
 
 Errc

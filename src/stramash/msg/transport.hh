@@ -72,16 +72,16 @@ struct MsgCosts
 struct RpcPolicy
 {
     /** Cycles the requester waits for a response before retrying. */
-    Cycles responseTimeoutCycles = 200000;
+    static constexpr Cycles responseTimeoutCycles = 200000;
     /** Transmission attempts per logical RPC before giving up. */
-    unsigned maxAttempts = 8;
+    static constexpr unsigned maxAttempts = 8;
     /** First retry backoff; doubles per retry (exponential). */
-    Cycles backoffBaseCycles = 25000;
+    static constexpr Cycles backoffBaseCycles = 25000;
     /** Backoff growth stops here. */
-    Cycles backoffCapCycles = 400000;
+    static constexpr Cycles backoffCapCycles = 400000;
 
-    Cycles
-    backoffForAttempt(unsigned attempt) const
+    static constexpr Cycles
+    backoffForAttempt(unsigned attempt)
     {
         Cycles b = backoffBaseCycles;
         for (unsigned i = 1; i < attempt && b < backoffCapCycles; ++i)
@@ -163,9 +163,6 @@ class MessageLayer
      */
     Errc sendReliable(const Message &msg, bool dispatchNow = true);
 
-    RpcPolicy &rpcPolicy() { return policy_; }
-    const RpcPolicy &rpcPolicy() const { return policy_; }
-
     StatGroup &stats() { return stats_; }
 
     /** Total messages sent since construction (Table 3). */
@@ -200,7 +197,6 @@ class MessageLayer
     Histogram *wireBytes_ = nullptr;
     std::array<Counter *, msgTypeCount> sentByType_{};
     std::uint64_t seq_ = 0;
-    RpcPolicy policy_;
 
     // ---- resilient-mode state (touched only with an injector) ----
 
@@ -259,13 +255,12 @@ class ShmMessageLayer final : public MessageLayer
 {
   public:
     /**
-     * @param areaBase  guest-physical base of the 128 MiB messaging
-     *                  area (placement decides local vs remote!)
-     * @param areaBytes size of the area; split evenly per direction
+     * @param areaBase  guest-physical base of the paperAreaBytes
+     *                  messaging area, split evenly per direction
+     *                  (placement decides local vs remote!)
      * @param useIpi    IPI notification (true) or polling (false)
      */
-    ShmMessageLayer(Machine &machine, Addr areaBase, Addr areaBytes,
-                    bool useIpi);
+    ShmMessageLayer(Machine &machine, Addr areaBase, bool useIpi);
 
     static constexpr Addr paperAreaBytes = 128 * 1024 * 1024;
 
@@ -277,8 +272,7 @@ class ShmMessageLayer final : public MessageLayer
      * when the strip is large enough and flush with the strip's end
      * otherwise. Panics when the area does not fit.
      */
-    static Addr areaBaseFor(const PhysMap &map,
-                            Addr areaBytes = paperAreaBytes);
+    static Addr areaBaseFor(const PhysMap &map);
 
   protected:
     Errc transportSend(const Message &msg) override;

@@ -45,10 +45,7 @@ Scheduler::Scheduler(System &sys, SchedConfig cfg)
     depthHist_ = &stats_.histogram(
         "runqueue_depth", {1, 2, 4, 8, 16, 32, 64, 128, 256, 512});
     sys_.registerExternalStatGroup(&stats_);
-    if (cfg_.registerWithSystem) {
-        sys_.setPlacer(this);
-        registered_ = true;
-    }
+    sys_.setPlacer(this);
 
     // Popcorn victims serve steal requests like any other RPC; the
     // fused design never sends one (steals ride coherent memory).
@@ -92,7 +89,7 @@ Scheduler::~Scheduler()
     if (CrashManager *cm = sys_.crashManager();
         cm && crashHookToken_)
         cm->removeRecoveryHook(crashHookToken_);
-    if (registered_ && sys_.placer() == this)
+    if (sys_.placer() == this)
         sys_.setPlacer(nullptr);
     if (sys_.config().osDesign == OsDesign::MultipleKernel) {
         // Replace the steal handlers, which capture this.
@@ -164,8 +161,7 @@ Scheduler::place(const PlacementHints &hints)
         chosen = leastLoaded();
     }
     sys_.tracer().instant(TraceCategory::Sched, "sched.place",
-                          chosen, 0, hints.weightCycles,
-                          hints.footprintBytes);
+                          chosen, 0, 0, hints.footprintBytes);
     return chosen;
 }
 

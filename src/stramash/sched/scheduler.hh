@@ -71,8 +71,6 @@ struct SchedConfig
     Cycles migrationChargeCycles = 8000;
     /** CostModel: refill cost per cache line of warm footprint. */
     Cycles refillCyclesPerLine = 40;
-    /** Attach as the System's Placer for spawnPlaced/placeNode. */
-    bool registerWithSystem = true;
 };
 
 /**
@@ -95,6 +93,7 @@ struct WorkItem
 class Scheduler final : public Placer
 {
   public:
+    /** Attaches itself as @p sys's Placer until destroyed. */
     explicit Scheduler(System &sys, SchedConfig cfg = {});
     ~Scheduler() override;
 
@@ -172,7 +171,6 @@ class Scheduler final : public Placer
     Histogram *depthHist_ = nullptr;
     std::uint64_t executed_ = 0;
     std::uint64_t crashHookToken_ = 0;
-    bool registered_ = false;
 
     std::uint64_t loadOf(NodeId n) const;
     NodeId leastLoaded() const;

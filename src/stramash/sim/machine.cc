@@ -54,11 +54,14 @@ Machine::Machine(const MachineConfig &cfg)
     if (cfg_.faultPlan) {
         injector_ = std::make_unique<FaultInjector>(*cfg_.faultPlan);
         injector_->setTracer(&tracer_);
-        for (const LinkEvent &ev : cfg_.faultPlan->linkSchedule) {
-            panic_if(ev.from >= nodes_.size() || ev.to >= nodes_.size(),
-                     "link schedule names unknown node");
+        for (const ScheduledFault &f : cfg_.faultPlan->schedule) {
+            panic_if(f.from >= nodes_.size() ||
+                         (f.kind == ScheduledFault::Kind::Link &&
+                          f.to >= nodes_.size()),
+                     "fault schedule names unknown node");
         }
-        partitionArmed_ = cfg_.faultPlan->linkFaultsPlanned();
+        partitionArmed_ =
+            cfg_.faultPlan->schedules(ScheduledFault::Kind::Link);
     }
 }
 
@@ -74,27 +77,6 @@ Machine::node(NodeId id) const
 {
     panic_if(id >= byId_.size(), "unknown node ", id);
     return *byId_[id];
-}
-
-Node &
-Machine::nodeByIsa(IsaType isa)
-{
-    // N-node machines can run the same ISA on several nodes; an
-    // ISA-keyed lookup is only well-defined when exactly one alive
-    // node matches, so name the ambiguity instead of silently
-    // returning whichever node was built first.
-    Node *match = nullptr;
-    for (auto &n : nodes_) {
-        if (n->isa() != isa || !n->alive())
-            continue;
-        panic_if(match, "nodeByIsa(", isaName(isa),
-                 "): ambiguous — nodes ", match->id(), " and ",
-                 n->id(), " both run ", isaName(isa),
-                 "; address nodes by id in N-node topologies");
-        match = n.get();
-    }
-    panic_if(!match, "no alive node with ISA ", isaName(isa));
-    return *match;
 }
 
 Cycles
@@ -118,10 +100,9 @@ Machine::dataAccess(NodeId nid, AccessType type, Addr pa, unsigned size)
 
 Cycles
 Machine::streamAccess(NodeId nid, AccessType type, Addr pa,
-                      unsigned size, unsigned mlp)
+                      unsigned size)
 {
-    if (mlp == 0)
-        mlp = cfg_.streamMlp;
+    const unsigned mlp = cfg_.streamMlp;
     panic_if(mlp == 0, "streamAccess needs mlp >= 1");
     if (accessTrace_)
         accessTrace_(nid, type, pa, size);
@@ -208,18 +189,16 @@ Machine::sendIpi(NodeId from, NodeId to)
 void
 Machine::fireScheduledIfDue(NodeId nid)
 {
-    if (injector_->crashArmed() &&
-        injector_->shouldCrashNode(nid, node(nid).cycles()))
-        killNode(nid);
-    if (!injector_->linkEventsArmed())
-        return;
-    // One event per poll iteration: the hook a transition invokes
-    // (heal/reconcile, rejoin) advances clocks itself, which can make
-    // further schedule entries due — the injector's fired flags make
+    // One entry per poll iteration: the hook a link transition
+    // invokes (heal/reconcile, rejoin) advances clocks itself, which
+    // can make further entries due — the injector's fired flags make
     // the re-entrant polls idempotent.
-    while (const LinkEvent *ev = injector_->pollLinkEvent(
-               [this](NodeId n) { return node(n).cycles(); })) {
-        setLinkState(ev->from, ev->to, ev->state);
+    while (const ScheduledFault *f = injector_->pollSchedule(
+               nid, [this](NodeId n) { return node(n).cycles(); })) {
+        if (f->kind == ScheduledFault::Kind::Crash)
+            killNode(f->from);
+        else
+            setLinkState(f->from, f->to, f->state);
     }
 }
 
@@ -317,12 +296,11 @@ Machine::maxRuntime() const
 }
 
 void
-Machine::resetTiming(bool flushCaches)
+Machine::resetTiming()
 {
     for (auto &n : nodes_)
         n->resetTime();
-    if (flushCaches)
-        domain_->flushAll();
+    domain_->flushAll();
     std::fill(ipisReceived_.begin(), ipisReceived_.end(), 0);
 }
 

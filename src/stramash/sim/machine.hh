@@ -117,14 +117,6 @@ class Machine
      */
     void reviveNode(NodeId id, Cycles clock);
 
-    /**
-     * The unique alive node whose ISA is @p isa (paper machines have
-     * one of each). Panics, naming both nodes, when an N-node
-     * topology runs the ISA on more than one alive node — address
-     * nodes by id there.
-     */
-    Node &nodeByIsa(IsaType isa);
-
     // ---- link faults (network partitions) ----
 
     /**
@@ -178,13 +170,14 @@ class Machine
     /**
      * Charge a *bulk kernel copy* (ring payload, DSM page transfer,
      * page zeroing): the cache model runs per line, but miss
-     * latencies overlap across @p mlp outstanding requests, as a
-     * streaming kernel memcpy enjoys. Application accesses must NOT
-     * use this — they are charged serially, exactly like the
-     * per-instruction feedback of the paper's Cache plugin.
+     * latencies overlap across MachineConfig::streamMlp outstanding
+     * requests, as a streaming kernel memcpy enjoys. Application
+     * accesses must NOT use this — they are charged serially,
+     * exactly like the per-instruction feedback of the paper's Cache
+     * plugin.
      */
     Cycles streamAccess(NodeId nid, AccessType type, Addr pa,
-                        unsigned size, unsigned mlp = 0);
+                        unsigned size);
 
     /** Retire instructions on a node (fixed-IPC timing). */
     void retire(NodeId nid, ICount n);
@@ -215,7 +208,7 @@ class Machine
     Cycles maxRuntime() const;
 
     /** Reset every node clock and cache (between experiments). */
-    void resetTiming(bool flushCaches = true);
+    void resetTiming();
 
     /**
      * Trace hooks: observe every charged access and retirement.
@@ -251,22 +244,20 @@ class Machine
 
   private:
     /**
-     * Poll the scheduled crash + link sites after a clock advance on
-     * @p nid. Two predictable branches when nothing is armed (the
-     * injector pointer, then the armed flags); the slow paths live in
-     * the .cc.
+     * Poll the scheduled faults after a clock advance on @p nid. Two
+     * predictable branches when nothing is armed (the injector
+     * pointer, then the armed check); the slow path lives in the .cc.
      */
     void
     maybeFireCrash(NodeId nid)
     {
-        if (injector_ &&
-            (injector_->crashArmed() || injector_->linkEventsArmed()))
+        if (injector_ && injector_->scheduleArmed())
             fireScheduledIfDue(nid);
     }
 
-    /** Fire any due scheduled crash on @p nid and any due scheduled
-     *  link transition (link deadlines read both endpoint clocks, so
-     *  they are polled regardless of @p nid). */
+    /** Fire every due scheduled crash of @p nid, then every due link
+     *  transition (link deadlines read both endpoint clocks, so they
+     *  are polled regardless of @p nid). */
     void fireScheduledIfDue(NodeId nid);
 
     LinkState

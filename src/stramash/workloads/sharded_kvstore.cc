@@ -9,7 +9,7 @@ ShardedKvStore::ShardedKvStore(System &sys, ShardedKvConfig cfg)
     : sys_(sys),
       cfg_(cfg),
       rng_(cfg.seed, 0x5a4d),
-      slotBytes_(((cfg.payloadBytes + 8 + cacheLineSize - 1) /
+      slotBytes_(((payloadBytes + 8 + cacheLineSize - 1) /
                   cacheLineSize) *
                  cacheLineSize)
 {
@@ -38,7 +38,7 @@ ShardedKvStore::ShardedKvStore(System &sys, ShardedKvConfig cfg)
     }
     expected_.assign(servers_.size(),
                      std::vector<std::uint64_t>(cfg_.keysPerShard, 0));
-    payload_.resize(cfg_.payloadBytes);
+    payload_.resize(payloadBytes);
     breakerOpen_.assign(servers_.size(), 0);
 }
 
@@ -52,14 +52,14 @@ ShardedKvStore::slotAddr(NodeId shard, std::uint64_t key) const
 void
 ShardedKvStore::populate()
 {
-    std::vector<std::uint8_t> v(cfg_.payloadBytes, 0xab);
+    std::vector<std::uint8_t> v(payloadBytes, 0xab);
     for (NodeId s = 0; s < servers_.size(); ++s) {
         App &app = *servers_[s];
         for (std::uint64_t i = 0; i < cfg_.keysPerShard; ++i) {
             std::uint64_t tag = (i << 8) ^ s ^ 0xdb;
             Addr slot = slabs_[s] + i * slotBytes_;
             app.write<std::uint64_t>(slot, tag);
-            app.writeBuf(slot + 8, v.data(), cfg_.payloadBytes);
+            app.writeBuf(slot + 8, v.data(), payloadBytes);
             expected_[s][i] = tag;
         }
     }
@@ -120,7 +120,7 @@ ShardedKvStore::exec(KvOp op, std::uint64_t key, NodeId ingress)
     Addr slot = slotAddr(shard, key);
     switch (op) {
       case KvOp::Get: {
-        app.readBuf(slot + 8, payload_.data(), cfg_.payloadBytes);
+        app.readBuf(slot + 8, payload_.data(), payloadBytes);
         break;
       }
       case KvOp::Set: {
@@ -128,7 +128,7 @@ ShardedKvStore::exec(KvOp op, std::uint64_t key, NodeId ingress)
         std::fill(payload_.begin(), payload_.end(),
                   static_cast<std::uint8_t>(key));
         app.write<std::uint64_t>(slot, tag);
-        app.writeBuf(slot + 8, payload_.data(), cfg_.payloadBytes);
+        app.writeBuf(slot + 8, payload_.data(), payloadBytes);
         expected_[shard][(key / servers_.size()) % cfg_.keysPerShard] =
             tag;
         break;

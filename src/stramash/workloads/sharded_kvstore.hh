@@ -38,8 +38,6 @@ struct ShardedKvConfig
 {
     /** Keys per shard (global key space = shards * keysPerShard). */
     std::size_t keysPerShard = 64;
-    /** Value size in bytes. */
-    std::size_t payloadBytes = 256;
     /** Places each shard's server task (footprint = the shard slab).
      *  Null keeps the historical identity mapping: shard s on node
      *  s. */
@@ -95,7 +93,8 @@ class ShardedKvStore
     // ---- hooks for the open-loop front end (stramash/load) ----
 
     std::size_t keysPerShard() const { return cfg_.keysPerShard; }
-    std::size_t payloadBytes() const { return cfg_.payloadBytes; }
+    /** Value size in bytes. */
+    static constexpr std::size_t payloadBytes = 256;
     /** Global key-space size (shards * keysPerShard). */
     std::size_t keySpace() const
     {

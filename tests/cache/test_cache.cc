@@ -117,13 +117,12 @@ TEST(SetAssocCache, FlushAll)
 
 TEST(SetAssocCacheDeath, BadGeometry)
 {
-    // Every geometry field must be a power of two, or set indexing
+    // Size and way count must be powers of two, or set indexing
     // would silently alias; the constructor fails loudly instead.
     EXPECT_DEATH(SetAssocCache({100, 2}), "power of two");
     EXPECT_DEATH(SetAssocCache({1024, 0}), "way count");
     EXPECT_DEATH(SetAssocCache({1024, 3}), "way count");
     EXPECT_DEATH(SetAssocCache({0, 2}), "cache size");
-    EXPECT_DEATH(SetAssocCache({1024, 2, 48}), "line size");
     // Too small to hold even one full set.
     EXPECT_DEATH(SetAssocCache({128, 4}), "cannot hold one set");
 }

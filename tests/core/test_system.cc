@@ -23,7 +23,6 @@ TEST_P(SystemMatrix, ConstructsAndRunsAnApp)
     EXPECT_EQ(sys.nodeCount(), 2u);
     EXPECT_EQ(sys.kernel(0).isa(), IsaType::X86_64);
     EXPECT_EQ(sys.kernel(1).isa(), IsaType::AArch64);
-    EXPECT_EQ(&sys.kernelByIsa(IsaType::AArch64), &sys.kernel(1));
 
     App app(sys, 0);
     Addr buf = app.mmap(16 * pageSize);

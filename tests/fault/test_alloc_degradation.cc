@@ -98,9 +98,8 @@ TEST_F(AllocDegradationTest, PersistentDenialDegradesToLocalMemory)
     EXPECT_FALSE(gma_->onLowMemory(*k0_));
     EXPECT_EQ(gma_->blocksOwnedBy(0), 0u);
     EXPECT_EQ(gma_->blocksOwnedBy(1), 16u); // donor untouched
-    const RpcPolicy &pol = layer_->rpcPolicy();
     EXPECT_EQ(gma_->stats().value("negotiations_denied"),
-              pol.maxAttempts);
+              RpcPolicy::maxAttempts);
     EXPECT_EQ(gma_->stats().value("degraded_local"), 1u);
 }
 
@@ -114,10 +113,9 @@ TEST_F(AllocDegradationTest, BackoffIsChargedToTheRequesterClock)
     Cycles before = machine_->node(0).cycles();
     EXPECT_FALSE(gma_->onLowMemory(*k0_));
     Cycles spent = machine_->node(0).cycles() - before;
-    const RpcPolicy &pol = layer_->rpcPolicy();
     Cycles floor = 0;
-    for (unsigned a = 1; a < pol.maxAttempts; ++a)
-        floor += pol.backoffForAttempt(a);
+    for (unsigned a = 1; a < RpcPolicy::maxAttempts; ++a)
+        floor += RpcPolicy::backoffForAttempt(a);
     EXPECT_GE(spent, floor);
 }
 

@@ -52,7 +52,7 @@ TEST(CrashDetection, HeartbeatMissesDeclareDeadAndFreezeTheClock)
 
     // Declaration took at least `suspicionThreshold` missed pings.
     EXPECT_GE(cm.recovery().value("heartbeat_misses"),
-              cm.config().suspicionThreshold);
+              CrashConfig::suspicionThreshold);
     EXPECT_EQ(cm.recovery().value("nodes_declared_dead"), 1u);
     EXPECT_EQ(cm.recovery().value("recoveries"), 1u);
     EXPECT_EQ(cm.recovery().value("manual_kills"), 1u);
@@ -64,10 +64,8 @@ TEST(CrashDetection, ScheduledCrashFiresAtTheConfiguredCycle)
 {
     SystemConfig cfg;
     cfg.osDesign = OsDesign::FusedKernel;
-    FaultPlan plan;
-    plan.crashNode = 1;
-    plan.crashAtCycle = 5'000'000;
-    cfg.faultPlan = plan;
+    constexpr Cycles crashAtCycle = 5'000'000;
+    cfg.faultPlan = FaultPlan{}.crashAt(1, crashAtCycle);
     System sys(cfg);
     App app(sys, 0);
 
@@ -85,7 +83,7 @@ TEST(CrashDetection, ScheduledCrashFiresAtTheConfiguredCycle)
     for (unsigned i = 0; i < 2000 && sys.isNodeAlive(1); ++i)
         app.compute(50'000);
     ASSERT_FALSE(sys.isNodeAlive(1));
-    EXPECT_GE(sys.machine().node(1).cycles(), plan.crashAtCycle);
+    EXPECT_GE(sys.machine().node(1).cycles(), crashAtCycle);
 
     // The next user operation forces detection + recovery: the task
     // is re-homed to the survivor and its memory is intact.

@@ -91,8 +91,7 @@ TEST(CrashNpb, FusedSurvivesKillingEitherNodeMidRun)
             // A seed-varied point strictly inside the run.
             FaultPlan plan;
             plan.seed = seed;
-            plan.crashNode = victim;
-            plan.crashAtCycle = clock * (25 + seed) / 100;
+            plan.crashAt(victim, clock * (25 + seed) / 100);
             Outcome out =
                 runNpb(OsDesign::FusedKernel, plan, victim);
             EXPECT_TRUE(out.verified)

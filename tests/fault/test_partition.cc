@@ -151,7 +151,7 @@ TEST(Partition, FusedArbitrationIsMessageFree)
     EXPECT_EQ(partitionStat(sys, "links_healed"), 2u);
 
     // The revived node is fully usable.
-    app.migrateTo(1);
+    app.migrate(1);
     app.compute(10'000);
     EXPECT_EQ(app.where(), 1u);
 }
@@ -613,7 +613,7 @@ TEST(Partition, SlanderedThenRejoinedNodeStartsWithCleanDetector)
 
     // Node 1 has been accumulating (unfounded) suspicion of node 0 —
     // one miss short of a declaration — when it dies and is fenced.
-    cm.setSuspicion(1, 0, cfg.crash.suspicionThreshold - 1);
+    cm.setSuspicion(1, 0, CrashConfig::suspicionThreshold - 1);
     sys.killNode(1);
     cm.forceSuspicion(0, 1);
     ASSERT_TRUE(cm.isDeclaredDead(1));
@@ -624,7 +624,7 @@ TEST(Partition, SlanderedThenRejoinedNodeStartsWithCleanDetector)
     sys.rejoinNode(1);
     EXPECT_EQ(cm.suspicionOf(1, 0), 0u);
     EXPECT_EQ(cm.suspicionOf(0, 1), 0u);
-    app.migrateTo(1);
+    app.migrate(1);
     app.compute(10'000);
     EXPECT_FALSE(cm.isDeclaredDead(0));
     EXPECT_FALSE(cm.isDeclaredDead(1));
@@ -667,7 +667,7 @@ TEST(Partition, LossyLinkDropsByRateAndDelayedLinkParks)
     EXPECT_EQ(
         machine.faultInjector()->partition().value("msgs_parked"), 1u);
 
-    machine.stall(1, plan.linkDelayCycles + 1);
+    machine.stall(1, FaultPlan::linkDelayCycles + 1);
     layer.dispatchPending(1);
     EXPECT_EQ(delivered, 1u);
 

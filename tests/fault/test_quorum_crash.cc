@@ -98,7 +98,7 @@ TEST(QuorumCrash, FalseSuspicionFromOneObserverIsOutvoted)
     EXPECT_GE(cm.recovery().value("quorum_probes"), 1u);
 
     // The slandered node is fully alive: run real work through it.
-    app.migrateTo(1);
+    app.migrate(1);
     NpbConfig nc;
     nc.iterations = 1;
     nc.problemBytes = 64 * 1024;
@@ -157,8 +157,7 @@ TEST(QuorumCrash, MidRunCrashRecoversWithFaultFreeChecksums)
         for (std::uint64_t seed : chaosSeeds) {
             FaultPlan plan;
             plan.seed = seed;
-            plan.crashNode = victim;
-            plan.crashAtCycle = clock * (25 + seed) / 100;
+            plan.crashAt(victim, clock * (25 + seed) / 100);
             Outcome out = runNpb(plan, victim);
             EXPECT_TRUE(out.verified)
                 << "victim " << victim << " seed " << seed;

@@ -25,7 +25,7 @@ struct Rig
         if (shm) {
             layer = std::make_unique<ShmMessageLayer>(
                 *machine, ShmMessageLayer::areaBaseFor(machine->physMap()),
-                ShmMessageLayer::paperAreaBytes, true);
+                true);
         } else {
             layer = std::make_unique<TcpMessageLayer>(*machine);
         }
@@ -93,10 +93,10 @@ TEST(ResilientMsg, TimeoutAndBackoffAreChargedInSimulatedCycles)
     Cycles before = rig.machine->node(0).cycles();
     ASSERT_TRUE(rig.layer->tryRpc(rig.request(), MsgType::PageResponse));
     Cycles spent = rig.machine->node(0).cycles() - before;
-    const RpcPolicy &pol = rig.layer->rpcPolicy();
     // One timeout plus one backoff, at minimum, on the requester.
     EXPECT_GE(spent,
-              pol.responseTimeoutCycles + pol.backoffForAttempt(1));
+              RpcPolicy::responseTimeoutCycles +
+                  RpcPolicy::backoffForAttempt(1));
 }
 
 TEST(ResilientMsg, DuplicatedDeliveryIsSuppressedBySeq)
@@ -187,9 +187,8 @@ TEST(ResilientMsg, GiveUpAfterMaxAttemptsReturnsNullopt)
     auto resp = rig.layer->tryRpc(rig.request(), MsgType::PageResponse);
     EXPECT_FALSE(resp.has_value());
     EXPECT_EQ(rig.requestsServed, 0u);
-    const RpcPolicy &pol = rig.layer->rpcPolicy();
     EXPECT_EQ(rig.injector().retries().value("timeouts"),
-              pol.maxAttempts);
+              RpcPolicy::maxAttempts);
     EXPECT_EQ(rig.injector().retries().value("gave_up"), 1u);
     // Errc streams symbolically ("unreachable", not a raw integer).
     Errc e = rig.layer->sendReliable(rig.request());
@@ -200,13 +199,13 @@ TEST(ResilientMsg, DelayedDeliveryChargesTheReceiverClock)
 {
     FaultPlan plan;
     plan.msgDelayRate = 1.0;
-    plan.msgDelayCycles = 77777;
     plan.maxFaults = 1;
     Rig rig(plan);
 
     Cycles before = rig.machine->node(1).cycles();
     ASSERT_TRUE(rig.layer->tryRpc(rig.request(), MsgType::PageResponse));
-    EXPECT_GE(rig.machine->node(1).cycles() - before, 77777u);
+    EXPECT_GE(rig.machine->node(1).cycles() - before,
+              FaultPlan::msgDelayCycles);
     EXPECT_EQ(rig.injector().faults().value("msg_delay"), 1u);
 }
 
@@ -228,11 +227,10 @@ TEST(ResilientMsg, ShmRingOverflowReturnsRingFull)
     // panic. No fault plan needed — this is plain backpressure.
     MachineConfig mc = MachineConfig::paperPair(MemoryModel::Shared);
     Machine machine(mc);
-    // A 64 KiB area across two directed rings leaves a handful of
-    // 4 KiB + header slots per ring.
+    // The 128 MiB area across two directed rings gives each ring
+    // 64 MiB of 4 KiB + header slots; nobody drains them.
     ShmMessageLayer layer(
-        machine, ShmMessageLayer::areaBaseFor(machine.physMap()),
-        64 * 1024, false);
+        machine, ShmMessageLayer::areaBaseFor(machine.physMap()), false);
 
     Message m;
     m.type = MsgType::PageRequest;
@@ -240,7 +238,7 @@ TEST(ResilientMsg, ShmRingOverflowReturnsRingFull)
     m.to = 1;
     Errc last = Errc::Ok;
     unsigned sent = 0;
-    for (; sent < 64; ++sent) {
+    for (; sent < 32768; ++sent) {
         last = layer.send(m);
         if (last != Errc::Ok)
             break;

@@ -67,5 +67,5 @@ TEST(SnoopCosts, Defaults)
     SnoopCosts c;
     EXPECT_GT(c.snoopInvalidate, 0u);
     EXPECT_GT(c.snoopData, 0u);
-    EXPECT_GT(c.backInvalidate, c.snoopData);
+    EXPECT_GT(SnoopCosts::backInvalidate, c.snoopData);
 }

@@ -64,14 +64,14 @@ struct Rig
 
 TEST(RpcBackoff, BackoffScheduleDoublesFromBaseToCap)
 {
-    RpcPolicy pol;
-    Cycles expect = pol.backoffBaseCycles;
-    for (unsigned a = 1; a < pol.maxAttempts; ++a) {
-        EXPECT_EQ(pol.backoffForAttempt(a), expect) << "attempt " << a;
-        expect = std::min(expect * 2, pol.backoffCapCycles);
+    Cycles expect = RpcPolicy::backoffBaseCycles;
+    for (unsigned a = 1; a < RpcPolicy::maxAttempts; ++a) {
+        EXPECT_EQ(RpcPolicy::backoffForAttempt(a), expect)
+            << "attempt " << a;
+        expect = std::min(expect * 2, RpcPolicy::backoffCapCycles);
     }
-    EXPECT_EQ(pol.backoffForAttempt(pol.maxAttempts),
-              pol.backoffCapCycles);
+    EXPECT_EQ(RpcPolicy::backoffForAttempt(RpcPolicy::maxAttempts),
+              RpcPolicy::backoffCapCycles);
 }
 
 TEST(RpcBackoff, AllAttemptsDroppedChargeIsExactPerPolicy)
@@ -83,21 +83,21 @@ TEST(RpcBackoff, AllAttemptsDroppedChargeIsExactPerPolicy)
     FaultPlan plan;
     plan.msgDropRate = 1.0;
     Rig rig(plan);
-    const RpcPolicy &pol = rig.layer->rpcPolicy();
 
     Cycles before = rig.machine->node(0).cycles();
     auto resp = rig.layer->tryRpc(rig.request(7), MsgType::PageResponse);
     Cycles spent = rig.machine->node(0).cycles() - before;
 
     EXPECT_FALSE(resp.has_value());
-    Cycles expect = pol.maxAttempts * pol.responseTimeoutCycles;
-    for (unsigned a = 1; a < pol.maxAttempts; ++a)
-        expect += pol.backoffForAttempt(a);
+    Cycles expect =
+        RpcPolicy::maxAttempts * RpcPolicy::responseTimeoutCycles;
+    for (unsigned a = 1; a < RpcPolicy::maxAttempts; ++a)
+        expect += RpcPolicy::backoffForAttempt(a);
     EXPECT_EQ(spent, expect);
     EXPECT_EQ(rig.injector().retries().value("timeouts"),
-              pol.maxAttempts);
+              RpcPolicy::maxAttempts);
     EXPECT_EQ(rig.injector().retries().value("attempts"),
-              pol.maxAttempts - 1u);
+              RpcPolicy::maxAttempts - 1u);
     EXPECT_EQ(rig.injector().retries().value("gave_up"), 1u);
     EXPECT_EQ(rig.requestsServed, 0u);
 }
@@ -111,7 +111,6 @@ TEST(RpcBackoff, PartialDropChargesOnlyTheFailedAttempts)
     plan.msgDropRate = 1.0;
     plan.maxFaults = 3;
     Rig rig(plan);
-    const RpcPolicy &pol = rig.layer->rpcPolicy();
 
     Cycles before = rig.machine->node(0).cycles();
     auto resp = rig.layer->tryRpc(rig.request(7), MsgType::PageResponse);
@@ -120,10 +119,10 @@ TEST(RpcBackoff, PartialDropChargesOnlyTheFailedAttempts)
     ASSERT_TRUE(resp.has_value());
     EXPECT_EQ(resp->arg0, 7u);
     EXPECT_EQ(rig.requestsServed, 1u);
-    Cycles failedCharge = 3 * pol.responseTimeoutCycles +
-                          pol.backoffForAttempt(1) +
-                          pol.backoffForAttempt(2) +
-                          pol.backoffForAttempt(3);
+    Cycles failedCharge = 3 * RpcPolicy::responseTimeoutCycles +
+                          RpcPolicy::backoffForAttempt(1) +
+                          RpcPolicy::backoffForAttempt(2) +
+                          RpcPolicy::backoffForAttempt(3);
     EXPECT_GE(spent, failedCharge); // plus the live attempt's wire work
     EXPECT_EQ(rig.injector().retries().value("timeouts"), 3u);
     EXPECT_EQ(rig.injector().retries().value("attempts"), 3u);
@@ -198,8 +197,8 @@ TEST(RpcBackoff, SustainedLinkDelayExhaustsTheBudgetAtExactCharge)
     // while the transport holds the messages instead of losing them.
     FaultPlan plan;
     Rig rig(plan);
-    const RpcPolicy &pol = rig.layer->rpcPolicy();
-    ASSERT_GT(plan.linkDelayCycles, pol.responseTimeoutCycles);
+    ASSERT_GT(FaultPlan::linkDelayCycles,
+              RpcPolicy::responseTimeoutCycles);
 
     rig.machine->setLinkState(0, 1, LinkState::Delayed);
 
@@ -208,29 +207,30 @@ TEST(RpcBackoff, SustainedLinkDelayExhaustsTheBudgetAtExactCharge)
     Cycles spent = rig.machine->node(0).cycles() - before;
 
     EXPECT_FALSE(resp.has_value());
-    Cycles expect = pol.maxAttempts * pol.responseTimeoutCycles;
-    for (unsigned a = 1; a < pol.maxAttempts; ++a)
-        expect += pol.backoffForAttempt(a);
+    Cycles expect =
+        RpcPolicy::maxAttempts * RpcPolicy::responseTimeoutCycles;
+    for (unsigned a = 1; a < RpcPolicy::maxAttempts; ++a)
+        expect += RpcPolicy::backoffForAttempt(a);
     EXPECT_EQ(spent, expect);
     EXPECT_EQ(rig.injector().retries().value("timeouts"),
-              pol.maxAttempts);
+              RpcPolicy::maxAttempts);
     EXPECT_EQ(rig.injector().retries().value("attempts"),
-              pol.maxAttempts - 1u);
+              RpcPolicy::maxAttempts - 1u);
     EXPECT_EQ(rig.injector().retries().value("gave_up"), 1u);
     EXPECT_EQ(rig.injector().partition().value("msgs_parked"),
-              pol.maxAttempts);
+              RpcPolicy::maxAttempts);
     EXPECT_EQ(rig.requestsServed, 0u);
 
     // Once the receiver's clock crosses the release point, the parked
     // retries arrive in order: the first is served, the rest hit the
     // reply cache — the RPC already gave up, so the stale answers go
     // nowhere.
-    rig.machine->stall(1,
-                       plan.linkDelayCycles + pol.responseTimeoutCycles);
+    rig.machine->stall(1, FaultPlan::linkDelayCycles +
+                              RpcPolicy::responseTimeoutCycles);
     rig.layer->dispatchPending(1);
     EXPECT_EQ(rig.requestsServed, 1u);
     EXPECT_EQ(rig.injector().retries().value("replayed_responses"),
-              pol.maxAttempts - 1u);
+              RpcPolicy::maxAttempts - 1u);
 }
 
 TEST(RpcBackoff, SustainedDelayChargeIsIdenticalAcrossRuns)

@@ -30,7 +30,7 @@ class TransportBoth : public testing::TestWithParam<Transport>
         if (GetParam() == Transport::SharedMemory) {
             layer_ = std::make_unique<ShmMessageLayer>(
                 machine_, ShmMessageLayer::areaBaseFor(machine_.physMap()),
-                ShmMessageLayer::paperAreaBytes, true);
+                true);
         } else {
             layer_ = std::make_unique<TcpMessageLayer>(machine_);
         }
@@ -146,7 +146,7 @@ TEST(TcpTransport, ChargesPropagationToReceiver)
 TEST(ShmTransport, IpiNotificationChargesReceiver)
 {
     Machine m(MachineConfig::paperPair(MemoryModel::Shared));
-    ShmMessageLayer layer(m, 4_GiB, 16_MiB, true);
+    ShmMessageLayer layer(m, 4_GiB, true);
     Cycles before = m.node(1).cycles();
     layer.send(mkMsg(MsgType::TaskMigrate, 0, 1));
     // The receiver got the 2 us IPI cost already.
@@ -157,7 +157,7 @@ TEST(ShmTransport, IpiNotificationChargesReceiver)
 TEST(ShmTransport, PollingModeSkipsIpi)
 {
     Machine m(MachineConfig::paperPair(MemoryModel::Shared));
-    ShmMessageLayer layer(m, 4_GiB, 16_MiB, false);
+    ShmMessageLayer layer(m, 4_GiB, false);
     layer.send(mkMsg(MsgType::TaskMigrate, 0, 1));
     EXPECT_EQ(m.ipisReceived(1), 0u);
     EXPECT_TRUE(layer.receive(1).has_value());
@@ -180,7 +180,7 @@ TEST(ShmTransport, TcpSlowerThanShmForSameTraffic)
 {
     Machine m1(MachineConfig::paperPair(MemoryModel::Shared));
     Machine m2(MachineConfig::paperPair(MemoryModel::Shared));
-    ShmMessageLayer shm(m1, 4_GiB, 16_MiB, true);
+    ShmMessageLayer shm(m1, 4_GiB, true);
     TcpMessageLayer tcp(m2);
     for (int i = 0; i < 10; ++i) {
         Message msg = mkMsg(MsgType::PageResponse, 0, 1);
@@ -202,7 +202,7 @@ TEST(ShmTransport, ReceivePollsSendersInAscendingOrder)
     Machine m(MachineConfig::fromTopology(
         TopologySpec::alternating(4, MemoryModel::Shared)));
     ShmMessageLayer layer(m, ShmMessageLayer::areaBaseFor(m.physMap()),
-                          ShmMessageLayer::paperAreaBytes, true);
+                          true);
     Message late = mkMsg(MsgType::FutexWait, 3, 0);
     late.arg0 = 3;
     Message early = mkMsg(MsgType::FutexWake, 1, 0);

@@ -12,7 +12,6 @@ TEST(Machine, PaperPairConfiguration)
     EXPECT_EQ(m.nodeCount(), 2u);
     EXPECT_EQ(m.node(0).isa(), IsaType::X86_64);
     EXPECT_EQ(m.node(1).isa(), IsaType::AArch64);
-    EXPECT_EQ(&m.nodeByIsa(IsaType::AArch64), &m.node(1));
 }
 
 TEST(Machine, RetireAdvancesIcountAndCycles)
@@ -100,4 +99,15 @@ TEST(MachineDeath, UnknownNode)
 {
     Machine m(MachineConfig::paperPair(MemoryModel::Shared));
     EXPECT_DEATH(m.node(9), "unknown node");
+}
+
+TEST(MachineDeath, ScheduledFaultOnUnknownNode)
+{
+    // Every scheduled node id is checked up front, a crash's as well
+    // as both ends of a link transition.
+    MachineConfig cfg = MachineConfig::paperPair(MemoryModel::Shared);
+    cfg.faultPlan = FaultPlan{}.crashAt(5, 0);
+    EXPECT_DEATH(Machine{cfg}, "fault schedule names unknown node");
+    cfg.faultPlan = FaultPlan{}.severLinkAt(0, 5, 0);
+    EXPECT_DEATH(Machine{cfg}, "fault schedule names unknown node");
 }

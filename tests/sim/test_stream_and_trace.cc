@@ -7,14 +7,17 @@ using namespace stramash;
 
 TEST(StreamAccess, OverlapsMissLatency)
 {
-    Machine serial(MachineConfig::paperPair(MemoryModel::Shared));
+    MachineConfig serialCfg =
+        MachineConfig::paperPair(MemoryModel::Shared);
+    serialCfg.streamMlp = 1;
+    Machine serial(serialCfg);
     Machine pipelined(MachineConfig::paperPair(MemoryModel::Shared));
     // 4 KiB cold streaming store: serial pays full miss latency per
-    // line; MLP=8 overlaps.
+    // line; the default MLP of 8 overlaps.
     Cycles s = serial.streamAccess(0, AccessType::Store, 0x100000,
-                                   pageSize, 1);
+                                   pageSize);
     Cycles p = pipelined.streamAccess(0, AccessType::Store, 0x100000,
-                                      pageSize, 8);
+                                      pageSize);
     EXPECT_GT(s, p * 6);
     // Serial equals the plain per-line access cost.
     Machine plain(MachineConfig::paperPair(MemoryModel::Shared));
@@ -26,10 +29,10 @@ TEST(StreamAccess, OverlapsMissLatency)
 TEST(StreamAccess, HitsAreNotDiscounted)
 {
     Machine m(MachineConfig::paperPair(MemoryModel::Shared));
-    m.streamAccess(0, AccessType::Load, 0x100000, pageSize, 8);
+    m.streamAccess(0, AccessType::Load, 0x100000, pageSize);
     // Warm pass: every line hits L1, so MLP has nothing to overlap.
     Cycles warm = m.streamAccess(0, AccessType::Load, 0x100000,
-                                 pageSize, 8);
+                                 pageSize);
     EXPECT_EQ(warm, 64 * latencyProfile(CoreModel::XeonGold).l1);
 }
 
