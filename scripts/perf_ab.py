@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
 """Interleaved perfbench A/B between two git revisions.
 
-    python3 scripts/perf_ab.py BASE [CHANGE] --workload npb-cg --seed 42 \
-        --runs 10 --seconds 6 [--metrics host_wall_s,sim_mips] \
-        [--workdir DIR] [--json out.json]
+    python3 scripts/perf_ab.py BASE [CHANGE] --workload npb-is,npb-cg \
+        --seed 42,7919 --runs 10 --seconds 6 \
+        [--metrics host_wall_s,sim_mips] [--workdir DIR] [--json out.json]
 
 Exports each revision with `git archive` into WORKDIR/src-{base,change}
 (CHANGE defaults to the working tree as it is, uncommitted edits
 included) and runs perfbench/run.py there with CARGO_TARGET_DIR set to
 WORKDIR/build-{base,change}, so the two builds never share a tree.
-One untimed pair per side (--seconds 0) builds, warms up and checks
-`correct`. Then N timed runs of each side alternate, swapping which
-side goes first each round. For each metric it prints every round's
-pair of values, each side's median and interquartile range, and the
-rounds the change won.
+--workload and --seed take comma-separated lists; each (workload,
+seed) pair is one block, run to the end before the next starts. A
+block opens with one untimed pair per side (--seconds 0), which
+builds, warms up and checks `correct`. Then N timed runs of each side
+alternate, swapping which side goes first each round. For each metric
+it prints every round's pair of values, each side's median and
+interquartile range, and the rounds the change won. It ends with one
+markdown table of every block: base -> change medians, the base's
+IQR and the rounds won.
 It exits 1 if a run fails or the two sides disagree on a simulated
 metric (every metric reported in Mcycles, kcycles or cycles).
 """
@@ -56,12 +60,11 @@ def export(rev, dest):
         sys.exit("perf_ab: could not export %s" % (rev or "working tree"))
 
 
-def run(side, args, seconds):
+def run(side, workload, seed, seconds):
     """One perfbench run of @p side; returns its JSON result."""
     env = dict(os.environ, CARGO_TARGET_DIR=side["build"])
-    cmd = [sys.executable, "perfbench/run.py", "--workload",
-           args.workload, "--seed", str(args.seed), "--seconds",
-           str(seconds), "--trace", "0"]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=side["src"], env=env,
                          stdout=subprocess.PIPE,
                          stderr=subprocess.DEVNULL, text=True)
@@ -88,14 +91,77 @@ def iqr(xs):
     return q[2] - q[0]
 
 
+def block(sides, workload, seed, args, metrics):
+    """One interleaved A/B block; returns its summary."""
+    # Build, warm up, and check the simulated outputs agree.
+    warm = [run(side, workload, seed, 0) for side in sides]
+    if simulated(warm[0]) != simulated(warm[1]):
+        sys.exit("perf_ab: simulated metrics differ: %s vs %s" %
+                 (simulated(warm[0]), simulated(warm[1])))
+
+    values = {m: {"base": [], "change": []} for m in metrics}
+    for i in range(args.runs):
+        order = sides if i % 2 == 0 else sides[::-1]
+        for side in order:
+            r = run(side, workload, seed, args.seconds)
+            if simulated(r) != simulated(warm[0]):
+                sys.exit("perf_ab: %s run %d changed a simulated "
+                         "metric" % (side["name"], i))
+            for m in metrics:
+                values[m][side["name"]].append(r["metrics"][m]["value"])
+        print("%s seed %d round %2d  " % (workload, seed, i + 1) +
+              "  ".join("%s %.4g/%.4g" % (m, values[m]["base"][-1],
+                                          values[m]["change"][-1])
+                        for m in metrics), flush=True)
+
+    summary = {"workload": workload, "seed": seed,
+               "seconds": args.seconds, "runs": args.runs,
+               "base": sides[0]["rev"], "change": sides[1]["rev"],
+               "metrics": {}}
+    for m in metrics:
+        base, change = values[m]["base"], values[m]["change"]
+        higher = m in HIGHER_IS_BETTER
+        wins = sum((c > b) if higher else (c < b)
+                   for b, c in zip(base, change))
+        mb, mc = statistics.median(base), statistics.median(change)
+        # The change's gain as a factor: above 1 is better.
+        gain = (mc / mb if higher else mb / mc) if mb and mc else None
+        summary["metrics"][m] = {
+            "base": base, "change": change, "base_median": mb,
+            "change_median": mc, "base_iqr": iqr(base),
+            "change_iqr": iqr(change), "gain": gain, "wins": wins}
+        print("%s seed %d %s: median base %.4g -> change %.4g (x%.3f), "
+              "IQR base %.3g change %.3g, change won %d/%d" %
+              (workload, seed, m, mb, mc, gain or 0, iqr(base),
+               iqr(change), wins, args.runs), flush=True)
+    return summary
+
+
+def table(summaries, metrics):
+    """Markdown: one row per block, `base -> change (base IQR; wins)`."""
+    rows = ["| workload | seed | " +
+            " | ".join("`%s`" % m for m in metrics) + " |",
+            "|---|---|" + "---|" * len(metrics)]
+    for s in summaries:
+        cells = ["%.4g -> %.4g (%.2g; %d/%d)" % (
+            v["base_median"], v["change_median"], v["base_iqr"],
+            v["wins"], s["runs"])
+            for v in (s["metrics"][m] for m in metrics)]
+        rows.append("| %s | %d | %s |" % (s["workload"], s["seed"],
+                                          " | ".join(cells)))
+    return "\n".join(rows)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("base", help="git revision of the base (parent)")
     ap.add_argument("change", nargs="?",
                     help="git revision of the change (default: the "
                          "working tree)")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--workload", required=True,
+                    help="comma-separated perfbench workloads")
+    ap.add_argument("--seed", default="42",
+                    help="comma-separated seeds")
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=6)
     ap.add_argument("--metrics", default="host_wall_s",
@@ -117,51 +183,15 @@ def main():
     print("workdir %s; %s=%s, %s=%s" % (workdir, sides[0]["name"],
           sides[0]["rev"], sides[1]["name"], sides[1]["rev"]))
 
-    # Build, warm up, and check the simulated outputs agree.
-    warm = [run(side, args, 0) for side in sides]
-    if simulated(warm[0]) != simulated(warm[1]):
-        sys.exit("perf_ab: simulated metrics differ: %s vs %s" %
-                 (simulated(warm[0]), simulated(warm[1])))
-
     metrics = args.metrics.split(",")
-    values = {m: {"base": [], "change": []} for m in metrics}
-    for i in range(args.runs):
-        order = sides if i % 2 == 0 else sides[::-1]
-        for side in order:
-            r = run(side, args, args.seconds)
-            if simulated(r) != simulated(warm[0]):
-                sys.exit("perf_ab: %s run %d changed a simulated "
-                         "metric" % (side["name"], i))
-            for m in metrics:
-                values[m][side["name"]].append(r["metrics"][m]["value"])
-        print("round %2d  " % (i + 1) + "  ".join(
-            "%s %.4g/%.4g" % (m, values[m]["base"][-1],
-                              values[m]["change"][-1]) for m in metrics),
-            flush=True)
-
-    summary = {"workload": args.workload, "seed": args.seed,
-               "seconds": args.seconds, "runs": args.runs,
-               "base": sides[0]["rev"], "change": sides[1]["rev"],
-               "metrics": {}}
-    for m in metrics:
-        base, change = values[m]["base"], values[m]["change"]
-        higher = m in HIGHER_IS_BETTER
-        wins = sum((c > b) if higher else (c < b)
-                   for b, c in zip(base, change))
-        mb, mc = statistics.median(base), statistics.median(change)
-        # The change's gain as a factor: above 1 is better.
-        gain = (mc / mb if higher else mb / mc) if mb and mc else None
-        summary["metrics"][m] = {
-            "base": base, "change": change, "base_median": mb,
-            "change_median": mc, "base_iqr": iqr(base),
-            "change_iqr": iqr(change), "gain": gain, "wins": wins}
-        print("%s seed %d %s: median base %.4g -> change %.4g (x%.3f), "
-              "IQR base %.3g change %.3g, change won %d/%d" %
-              (args.workload, args.seed, m, mb, mc, gain or 0, iqr(base),
-               iqr(change), wins, args.runs))
+    summaries = [block(sides, w, int(seed), args, metrics)
+                 for w in args.workload.split(",")
+                 for seed in args.seed.split(",")]
+    print()
+    print(table(summaries, metrics))
     if args.json:
         with open(args.json, "w") as f:
-            json.dump(summary, f, indent=1)
+            json.dump(summaries, f, indent=1)
     return 0
 
 

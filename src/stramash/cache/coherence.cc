@@ -100,11 +100,6 @@ CoherenceDomain::snoopOthers(NodeId node, AccessType type, Addr lineAddr,
         auto otherId = static_cast<NodeId>(std::countr_zero(peers));
         peers &= peers - 1;
         CacheHierarchy &other = *nodes_[otherId].hier;
-        // A private last level includes the inner ones, so one set
-        // search rules out most peers; a shared LLC gives no private
-        // superset, and the walk below answers instead.
-        if (!sharedLlc_ && !other.holds(lineAddr))
-            continue;
         // Snoop Invalidate: all other holders drop the line (paper
         // §7.3). A read keeps the holder's copy, downgraded M/E -> S.
         Mesi prior = type == AccessType::Store
@@ -150,35 +145,32 @@ CoherenceDomain::accessLine(NodeId node, AccessType type, Addr addr)
     CacheHierarchy &hier = *nc.hier;
     Addr lineAddr = lineBase(addr);
     bool inst = type == AccessType::InstFetch;
-    // A store hit takes the line Modified. Upgrade: a line this node
-    // does not own exclusively needs every other holder invalidated.
-    auto storeHit = [&](AccessResult &res) {
-        Mesi prior = hier.setState(lineAddr, Mesi::Modified);
-        if (prior != Mesi::Modified && prior != Mesi::Exclusive)
-            res.latency += snoopOthers(node, type, lineAddr, res);
-    };
-
-    // L1-hit fast path: loads and fetches need no coherence action
-    // and no memory classification, and a store that already owns
-    // the line Modified needs nothing either — return before any
-    // cross-node structure is touched.
+    // Hit fast path: no memory classification, and for a load or
+    // fetch no coherence action and no other node touched. A store
+    // hit takes the line Modified. A line hit Modified is Modified at
+    // every private level already, so nothing changes, except after a
+    // shared LLC promoted its one shared state inward. Upgrade: a
+    // line this node does not own exclusively needs every other
+    // holder invalidated.
     CacheHierarchy::VictimWays ways;
-    if (SetAssocCache::Line *l1 = hier.probeL1(lineAddr, inst, ways)) {
-        AccessResult res;
-        res.level = HitLevel::L1;
-        res.latency = nc.profile.l1;
-        if (type == AccessType::Store && l1->state() != Mesi::Modified)
-            storeHit(res);
-        return res;
-    }
-
     AccessResult res;
-    res.level = hier.lookupFromL2(lineAddr, inst, ways);
+    Mesi hit;
+    if (SetAssocCache::Line *l1 = hier.probeL1(lineAddr, inst, ways)) {
+        res.level = HitLevel::L1;
+        hit = l1->state();
+    } else {
+        res.level = hier.lookupFromL2(lineAddr, inst, ways, hit);
+    }
     if (res.level != HitLevel::Memory) {
         res.latency =
             nc.profile.levelLatency(static_cast<int>(res.level));
-        if (type == AccessType::Store)
-            storeHit(res);
+        if (type == AccessType::Store &&
+            (hit != Mesi::Modified ||
+             (sharedLlc_ && res.level != HitLevel::L1))) {
+            Mesi prior = hier.setState(lineAddr, Mesi::Modified);
+            if (prior != Mesi::Modified && prior != Mesi::Exclusive)
+                res.latency += snoopOthers(node, type, lineAddr, res);
+        }
         return res;
     }
 

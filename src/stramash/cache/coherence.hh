@@ -18,10 +18,11 @@
  *      node's icount-based timebase.
  *
  * This is the simulator's hottest loop: node contexts live in a
- * dense vector indexed by NodeId, an L1 hit returns without ever
- * consulting another node, and with private LLCs a snoop round skips
- * every peer whose last level does not hold the line (one set search,
- * exact by inclusion; see CacheHierarchy::holds).
+ * dense vector indexed by NodeId, and an L1 hit returns without ever
+ * consulting another node. With private LLCs a store hit on a
+ * Modified line walks no level, and a snoop round searches each
+ * peer's last level once: a miss skips the peer (exact by inclusion),
+ * a hit is reused by the walk (CacheHierarchy::invalidateLine).
  */
 
 #ifndef STRAMASH_CACHE_COHERENCE_HH

@@ -38,21 +38,6 @@ CacheHierarchy::CacheHierarchy(NodeId node, const HierarchyGeometry &geom,
 namespace
 {
 
-/**
- * A dirty victim displaced from an inner level by a promotion is
- * written back into the outer level (its state there becomes
- * Modified).
- */
-void
-writeBack(const std::optional<SetAssocCache::Victim> &victim,
-          SetAssocCache &outer)
-{
-    if (victim && victim->dirty) {
-        if (auto *l = outer.find(victim->lineAddr))
-            l->setState(Mesi::Modified);
-    }
-}
-
 void
 drop(SetAssocCache::Line &l)
 {
@@ -82,15 +67,30 @@ CacheHierarchy::walk(Addr lineAddr, std::size_t n, F &&f) const
     return strongest;
 }
 
+/** walk() for a snoop: a private last level is searched once, first. */
+template <typename F>
+Mesi
+CacheHierarchy::snoopWalk(Addr lineAddr, F &&f)
+{
+    if (usesSharedL3())
+        return walk(lineAddr, numLevels_, f);
+    SetAssocCache::Line *last = llc_->find(lineAddr);
+    if (!last)
+        return Mesi::Invalid;
+    Mesi prior = last->state();
+    f(*last);
+    return std::max(prior, walk(lineAddr, numLevels_ - 1, f));
+}
+
 HitLevel
 CacheHierarchy::lookupFromL2(Addr lineAddr, bool instFetch,
-                             VictimWays &ways)
+                             VictimWays &ways, Mesi &state)
 {
     ++l2Accesses_;
     if (auto *line = l2().probe(lineAddr, ways.l2)) {
         ++l2Hits_;
-        writeBack(l1Insert(lineAddr, line->state(), instFetch, ways.l1),
-                  l2());
+        state = line->state();
+        l1Insert(lineAddr, state, instFetch, ways.l1);
         return HitLevel::L2;
     }
     if (llc_ == &l2()) {
@@ -100,9 +100,9 @@ CacheHierarchy::lookupFromL2(Addr lineAddr, bool instFetch,
     ++l3Accesses_;
     if (auto *line = llc_->probe(lineAddr, ways.llc)) {
         ++l3Hits_;
-        Mesi state = line->state();
-        writeBack(l2().insert(lineAddr, state, ways.l2), *llc_);
-        writeBack(l1Insert(lineAddr, state, instFetch, ways.l1), l2());
+        state = line->state();
+        l2().insert(lineAddr, state, ways.l2);
+        l1Insert(lineAddr, state, instFetch, ways.l1);
         return HitLevel::L3;
     }
     return HitLevel::Memory;
@@ -111,25 +111,18 @@ CacheHierarchy::lookupFromL2(Addr lineAddr, bool instFetch,
 Mesi
 CacheHierarchy::lineState(Addr lineAddr) const
 {
-    // Inner levels can hold a more up-to-date (Modified) state than
-    // the LLC under our simplified inclusion, so report the
-    // "strongest" state across levels. Deliberately not the shared
-    // L3: it is not private state.
+    // The strongest state across levels, which differ only under a
+    // shared L3. Deliberately not the shared L3: it is not private
+    // state.
     return walk(lineAddr, numLevels_, [](SetAssocCache::Line &) {});
 }
 
 bool
 CacheHierarchy::holds(Addr lineAddr) const
 {
-    // Inclusion makes a private last level a superset of the inner
-    // levels (fills install outside-in, last-level victims
-    // back-invalidate the inner copies), so a single probe answers
-    // the membership query.
-    //
-    // With a shared LLC there is no private superset level: the
-    // shared L3 is not private state, and L2 victims do not
-    // back-invalidate the L1s when the L2 is not the last level — so
-    // all private levels must answer.
+    // With a shared LLC no private level is a superset: L2 victims
+    // do not back-invalidate the L1s when the L2 is not the last
+    // level.
     if (usesSharedL3())
         return lineState(lineAddr) != Mesi::Invalid;
     return llc_->holds(lineAddr);
@@ -150,7 +143,7 @@ CacheHierarchy::setState(Addr lineAddr, Mesi state)
 Mesi
 CacheHierarchy::invalidateLine(Addr lineAddr)
 {
-    return walk(lineAddr, numLevels_, drop);
+    return snoopWalk(lineAddr, drop);
 }
 
 Mesi
@@ -163,7 +156,7 @@ CacheHierarchy::invalidateInner(Addr lineAddr)
 Mesi
 CacheHierarchy::downgradeLine(Addr lineAddr)
 {
-    return walk(lineAddr, numLevels_, [](SetAssocCache::Line &l) {
+    return snoopWalk(lineAddr, [](SetAssocCache::Line &l) {
         if (l.state() == Mesi::Modified || l.state() == Mesi::Exclusive)
             l.setState(Mesi::Shared);
     });

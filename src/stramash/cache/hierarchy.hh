@@ -8,7 +8,11 @@
  * Inclusion policy: fills install in every level; an L3 (last-level)
  * eviction back-invalidates the inner levels, so the last level is a
  * superset of the inner ones. That makes the last level the single
- * point of truth for cross-node coherence queries.
+ * point of truth for cross-node coherence queries. It also holds the
+ * line in the same MESI state as every inner level (fills, promotions
+ * and state changes write one state to every level that holds it);
+ * a shared L3 does not, since its one state is promoted into every
+ * reader's private levels.
  */
 
 #ifndef STRAMASH_CACHE_HIERARCHY_HH
@@ -70,7 +74,8 @@ class CacheHierarchy
      * last level. fill() and promotions install there without a
      * second scan. SetAssocCache::anyWay makes them scan, and any
      * change to the hierarchy between the probes and the install
-     * must reset the ways to that.
+     * must reset the ways to that. A promotion's inner victim is
+     * dropped: an outer copy already has its state (file comment).
      */
     struct VictimWays
     {
@@ -87,9 +92,10 @@ class CacheHierarchy
     lookup(Addr lineAddr, bool instFetch)
     {
         VictimWays ways;
+        Mesi state;
         if (probeL1(lineAddr, instFetch, ways))
             return HitLevel::L1;
-        return lookupFromL2(lineAddr, instFetch, ways);
+        return lookupFromL2(lineAddr, instFetch, ways, state);
     }
 
     /**
@@ -112,15 +118,17 @@ class CacheHierarchy
     /**
      * Continue a lookup that already missed L1 (after probeL1):
      * probes L2 and the LLC, promoting a hit inward at the carried
-     * ways. On a full miss @p ways holds every level's victim way.
+     * ways. On a hit @p state gets the hit line's state; on a full
+     * miss @p ways holds every level's victim way.
      */
     HitLevel lookupFromL2(Addr lineAddr, bool instFetch,
-                          VictimWays &ways);
+                          VictimWays &ways, Mesi &state);
 
     /** State of the line as seen by this node (strongest level). */
     Mesi lineState(Addr lineAddr) const;
 
-    /** True if any private level holds the line. */
+    /** True if any private level holds the line: one search of a
+     *  private last level, every level under a shared LLC. */
     bool holds(Addr lineAddr) const;
 
     /**
@@ -179,13 +187,15 @@ class CacheHierarchy
     Mesi setState(Addr lineAddr, Mesi state);
 
     /**
-     * Invalidate the line everywhere.
+     * Invalidate the line everywhere; a private last level is searched
+     * first, and a miss there ends the walk (it is a snoop's only
+     * membership check).
      * @return the strongest prior state.
      */
     Mesi invalidateLine(Addr lineAddr);
 
     /**
-     * Downgrade M/E to S (remote read snoop).
+     * Downgrade M/E to S (remote read snoop), walking as above.
      * @return the strongest prior state.
      */
     Mesi downgradeLine(Addr lineAddr);
@@ -218,11 +228,11 @@ class CacheHierarchy
     SetAssocCache &l1(bool instFetch) { return *levels_[instFetch ? 0 : 1]; }
 
     /** Install into the access's L1, noting when the L1I goes live. */
-    std::optional<SetAssocCache::Victim>
+    void
     l1Insert(Addr lineAddr, Mesi state, bool instFetch, unsigned way)
     {
         l1iLive_ |= instFetch;
-        return l1(instFetch).insert(lineAddr, state, way);
+        l1(instFetch).insert(lineAddr, state, way);
     }
 
     /**
@@ -233,6 +243,8 @@ class CacheHierarchy
 
     template <typename F>
     Mesi walk(Addr lineAddr, std::size_t n, F &&f) const;
+    template <typename F>
+    Mesi snoopWalk(Addr lineAddr, F &&f);
 
     NodeId node_;
     /** Private levels, innermost first: L1I, L1D, L2, optional L3. */
