@@ -1,5 +1,7 @@
 #include "stramash/cache/cache.hh"
 
+#include <algorithm>
+
 namespace stramash
 {
 
@@ -35,7 +37,12 @@ SetAssocCache::SetAssocCache(const CacheGeometry &geom) : geom_(geom)
     numSets_ = geom_.numSets();
     setMask_ = numSets_ - 1;
     wayShift_ = std::countr_zero(geom_.ways);
-    lines_.resize(numSets_ * geom_.ways);
+    setShift_ = std::countr_zero(numSets_);
+    unsigned missingLanes = 8 - std::min(geom_.ways, 8u);
+    laneMask_ = 0x8080808080808080ull >> (8 * missingLanes);
+    std::size_t ways = numSets_ * geom_.ways;
+    lines_.resize(ways + missingLanes);
+    tags_ = std::make_unique_for_overwrite<Addr[]>(ways);
     // Any starting order works: the first fills take invalid ways.
     std::uint64_t order = 0;
     for (unsigned w = 0; w < geom_.ways; ++w)
@@ -55,9 +62,11 @@ SetAssocCache::insert(Addr addr, Mesi state, unsigned way)
         i = ((lineNum & setMask_) << wayShift_) + way;
         const Line &l = lines_[i];
         if (l.valid())
-            out = Victim{(l.word_ >> 2) << lineShift, l.dirty()};
+            out = Victim{tags_[i] << lineShift, l.dirty()};
     }
-    lines_[i].word_ = (lineNum << 2) | static_cast<std::uint64_t>(state);
+    lines_[i].byte_ = static_cast<std::uint8_t>(
+        (partialTag(lineNum) << 2) | static_cast<std::uint8_t>(state));
+    tags_[i] = lineNum;
     touch(i);
     return out;
 }

@@ -11,6 +11,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -49,11 +51,14 @@ struct CacheGeometry
 };
 
 /**
- * Tag store for one cache level. Each way is one 64-bit word holding
- * (line number << 2) | MESI state. Replacement is exact LRU, kept per
- * set as a recency permutation: the 4-bit way numbers packed in one
- * word, least recently used in the lowest slot. That caps a set at
- * 16 ways.
+ * Tag store for one cache level. Each way is one byte, (partial tag
+ * << 2) | MESI state, where the partial tag is the low 6 bits of the
+ * line number above the set index; a set search reads 8 ways per
+ * 64-bit load. The full line numbers sit in a parallel array, read
+ * only to confirm a valid partial match and to name an evicted line.
+ * Replacement is exact LRU, kept per set as a recency permutation:
+ * the 4-bit way numbers packed in one word, least recently used in
+ * the lowest slot. That caps a set at 16 ways.
  */
 class SetAssocCache
 {
@@ -61,12 +66,12 @@ class SetAssocCache
     class Line
     {
       public:
-        Mesi state() const { return static_cast<Mesi>(word_ & stateMask); }
+        Mesi state() const { return static_cast<Mesi>(byte_ & stateMask); }
 
         void
         setState(Mesi state)
         {
-            word_ = (word_ & ~stateMask) | static_cast<std::uint64_t>(state);
+            byte_ = (byte_ & ~stateMask) | static_cast<std::uint8_t>(state);
         }
 
         bool valid() const { return state() != Mesi::Invalid; }
@@ -74,8 +79,8 @@ class SetAssocCache
 
       private:
         friend class SetAssocCache;
-        static constexpr std::uint64_t stateMask = 3;
-        std::uint64_t word_ = 0;
+        static constexpr std::uint8_t stateMask = 3;
+        std::uint8_t byte_ = 0;
     };
 
     /** Way argument of insert() that asks it to scan the set. */
@@ -143,11 +148,25 @@ class SetAssocCache
     Addr setMask_;
     static constexpr unsigned lineShift = std::countr_zero(cacheLineSize);
     unsigned wayShift_;
-    std::vector<Line> lines_; // sets * ways, row-major by set
+    /** Line number bits below the partial tag (the set index). */
+    unsigned setShift_;
+    /** High bit of each byte lane of a load that holds a way. */
+    std::uint64_t laneMask_;
+    /**
+     * sets * ways, row-major by set, plus padding so a set of fewer
+     * than 8 ways can still be read with one 8-byte load.
+     */
+    std::vector<Line> lines_;
+    /**
+     * Line number of each way, meaningful only while its byte in
+     * lines_ is valid; so it is never zero-filled.
+     */
+    std::unique_ptr<Addr[]> tags_;
     /** Per set: way numbers by recency, 4 bits each, LRU lowest. */
     std::vector<std::uint64_t> recency_;
 
     static constexpr std::size_t miss = SIZE_MAX;
+    std::uint8_t partialTag(Addr lineNum) const;
     std::size_t scan(Addr addr, unsigned *victim = nullptr) const;
     void touch(std::size_t index);
 };
@@ -156,29 +175,62 @@ class SetAssocCache
 // (CacheHierarchy::probeL1, lookupFromL2, CoherenceDomain::accessLine)
 // inline them and the victim work folds away where it is not asked for.
 
+inline std::uint8_t
+SetAssocCache::partialTag(Addr lineNum) const
+{
+    return static_cast<std::uint8_t>((lineNum >> setShift_) & 0x3f);
+}
+
+// scan() maps byte lane k of a load to way k: the lowest byte is the
+// lowest address only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "SetAssocCache::scan assumes little-endian byte lanes");
+
 /**
  * The one tag scan: the index in lines_ of the valid line holding
  * @p addr, or `miss`. A non-null @p victim gets the way to replace:
- * the first invalid way, else the least recently used one.
+ * the first invalid way, the one with the lowest number, else the
+ * least recently used one. Simulated outputs depend on this order,
+ * and the SixteenWayVictims tests of SetAssocCache pin it.
+ *
+ * Each 8-byte load covers 8 ways. Bytewise (SWAR), with no carry
+ * crossing a lane, it yields two masks: the candidates (same partial
+ * tag, state not Invalid) and the invalid ways. A candidate is a hit
+ * only if its full line number matches too.
  */
 inline std::size_t
 SetAssocCache::scan(Addr addr, unsigned *victim) const
 {
+    constexpr std::uint64_t ones = 0x0101010101010101ull;
+    constexpr std::uint64_t highs = ones << 7;
+    constexpr std::uint64_t lows = ~highs;
+    constexpr std::uint64_t states = ones * Line::stateMask;
     Addr lineNum = addr >> lineShift;
     std::size_t set = lineNum & setMask_;
     std::size_t first = set << wayShift_;
-    std::uint64_t key = lineNum << 2;
-    unsigned invalid = 0;
-    for (unsigned w = 0; w < geom_.ways; ++w) {
-        std::uint64_t word = lines_[first + w].word_;
-        // Same line number and a non-Invalid state: 1 <= xor <= 3.
-        if ((word ^ key) - 1 < Line::stateMask)
-            return first + w;
-        invalid |= unsigned{(word & Line::stateMask) == 0} << w;
+    std::uint64_t key = ones * (std::uint64_t{partialTag(lineNum)} << 2);
+    unsigned invalidWay = geom_.ways;
+    for (unsigned w = 0; w < geom_.ways; w += 8) {
+        std::uint64_t bytes;
+        std::memcpy(&bytes, &lines_[first + w], sizeof bytes);
+        // Exact zero-byte test of the partial-tag difference.
+        std::uint64_t diff = (bytes ^ key) & ~states;
+        std::uint64_t sameTag = ~(((diff & lows) + lows) | diff) & highs;
+        // A state of 1-3 plus 0x7f sets the lane's high bit.
+        std::uint64_t live = ((bytes & states) + lows) & laneMask_;
+        for (std::uint64_t c = sameTag & live; c; c &= c - 1) {
+            std::size_t i = first + w + (std::countr_zero(c) >> 3);
+            if (tags_[i] == lineNum)
+                return i;
+        }
+        std::uint64_t invalid = ~live & laneMask_;
+        if (invalidWay == geom_.ways && invalid)
+            invalidWay = w + (std::countr_zero(invalid) >> 3);
     }
     if (victim) {
-        *victim = invalid ? std::countr_zero(invalid)
-                          : static_cast<unsigned>(recency_[set] & 0xf);
+        *victim = invalidWay < geom_.ways
+                      ? invalidWay
+                      : static_cast<unsigned>(recency_[set] & 0xf);
     }
     return miss;
 }
